@@ -1,5 +1,5 @@
 //! Fleet-service throughput and degraded-mode behavior: what does the
-//! cross-request artifact cache buy on batched synthesis, and what does
+//! cross-request report cache buy on batched synthesis, and what does
 //! sustained fault injection cost? Writes `BENCH_service.json`.
 //!
 //! Queues batches of fig9-style preset requests (1k–100k, per
@@ -7,8 +7,9 @@
 //!
 //! * **duplicate-heavy** — requests cycle over a small pool of distinct
 //!   applications (64 by default), the fleet-sweep shape where the same
-//!   model is synthesized under many arrival orders; nearly every request
-//!   hits the artifact cache and skips generation + model preparation;
+//!   model is requested under many arrival orders; nearly every request
+//!   hits the report cache and is answered without generation, model
+//!   preparation or synthesis;
 //! * **all-distinct** — every request names a fresh seed, so every
 //!   request pays the full cold path and the cache can only miss.
 //!
@@ -25,9 +26,9 @@
 //! Per cell the harness reports wall-clock requests/sec, p50/p99
 //! end-to-end latency (queue wait + service time), cache counters, and
 //! the robustness counters (rejected submissions, panics, respawns,
-//! deadline misses). Synthesis runs for every request either way — the
-//! cache never changes output bits (pinned by the service test suite),
-//! only the time to produce them.
+//! deadline misses). A hit clones the stored report of the cold
+//! synthesis — the cache never changes output bits (pinned by the service
+//! test suite), only the time to produce them.
 //!
 //! The headline acceptance is asserted when the 10k depth is swept: the
 //! duplicate-heavy mix must show a hit rate ≥ 50% and beat the

@@ -767,7 +767,7 @@ pub fn trace_average(source: &str, budget: usize) -> Result<String, CliError> {
 /// `ftqs submit <family>` — renders an NDJSON request batch for [`serve`]
 /// (or any transport consumer). Seeds cycle through `distinct` values
 /// starting at `seed`, so `distinct < count` produces the duplicate-heavy
-/// mixes that exercise the service's artifact cache. `priority` and
+/// mixes that exercise the service's report cache. `priority` and
 /// `deadline_ms` (both optional) stamp every request with the service's
 /// scheduling knobs: interactive requests overtake queued bulk ones, and
 /// a request still queued past its deadline answers `deadline exceeded`
@@ -832,29 +832,31 @@ pub fn submit(
 }
 
 /// `ftqs serve <batch.ndjson|->` — runs an NDJSON request batch through
-/// the fleet service ([`ftqs_service::Service`]) and returns one JSON
-/// response line per request in completion order. Malformed request
-/// lines answer with a per-line error response; the rest of the batch is
-/// unaffected. The workers are supervised (a panicking job answers as an
-/// error response; a dead thread is respawned) and both buffers are
-/// bounded — `response_capacity` caps the response ring, so a slow
-/// output sink throttles the fleet instead of growing memory. With
-/// `with_stats`, a final line carries the [`ftqs_service::ServiceStats`]
-/// snapshot (completed/rejected/panics/respawns/deadline-miss counters
-/// plus queue, ring, and cache occupancy).
+/// the fleet service ([`ftqs_service::Service`]) and writes one JSON
+/// response line per request to `out` in completion order, each as soon
+/// as it completes. Malformed request lines answer with a per-line error
+/// response; the rest of the batch is unaffected. The workers are
+/// supervised (a panicking job answers as an error response; a dead
+/// thread is respawned) and both buffers are bounded —
+/// `response_capacity` caps the response ring, so a slow output sink
+/// throttles the fleet instead of growing memory. With `with_stats`, a
+/// final line carries the [`ftqs_service::ServiceStats`] snapshot
+/// (completed/rejected/panics/respawns/deadline-miss counters plus queue,
+/// ring, and cache occupancy).
 ///
 /// # Errors
 ///
-/// I/O errors opening or reading the batch. Per-request failures are
-/// response lines, not errors.
-pub fn serve(
+/// I/O errors opening or reading the batch, or writing `out`.
+/// Per-request failures are response lines, not errors.
+pub fn serve<W: std::io::Write>(
     batch: &str,
     workers: usize,
     queue_capacity: usize,
     cache_capacity: usize,
     response_capacity: usize,
     with_stats: bool,
-) -> Result<String, CliError> {
+    out: &mut W,
+) -> Result<(), CliError> {
     let mut service = Service::start(ServiceConfig {
         workers,
         queue_capacity,
@@ -864,23 +866,21 @@ pub fn serve(
         engine: engine(),
         ..ServiceConfig::default()
     });
-    let mut out = Vec::new();
     match batch {
         "-" => {
             let stdin = std::io::stdin();
-            transport::serve(&service, stdin.lock(), &mut out)?;
+            transport::serve(&service, stdin.lock(), out)?;
         }
         path => {
             let file = std::io::BufReader::new(std::fs::File::open(path)?);
-            transport::serve(&service, file, &mut out)?;
+            transport::serve(&service, file, out)?;
         }
     }
     let stats = service.shutdown();
-    let mut rendered = String::from_utf8(out).expect("responses are UTF-8 JSON");
     if with_stats {
-        rendered.push_str(&to_json_line(&stats)?);
+        out.write_all(to_json_line(&stats)?.as_bytes())?;
     }
-    Ok(rendered)
+    Ok(())
 }
 
 fn to_json_pretty<T: Serialize>(value: &T) -> Result<String, CliError> {
@@ -945,12 +945,24 @@ fn parse_format(args: &[String]) -> Result<OutputFormat, CliError> {
 /// Unknown commands/flags, malformed numeric flags, and every command
 /// error (load/parse/synthesis/serialization).
 pub fn run(args: &[String]) -> Result<String, CliError> {
+    let mut out = Vec::new();
+    run_to(args, &mut out)?;
+    Ok(String::from_utf8(out).expect("every command renders UTF-8 text"))
+}
+
+/// [`run`], writing the output to `out`: `serve` streams each response
+/// line as it completes, every other command writes its output whole.
+///
+/// # Errors
+///
+/// As [`run`], plus I/O errors writing `out`.
+pub fn run_to<W: std::io::Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     let cmd = args.first().ok_or("missing command")?;
     let spec = args.get(1).ok_or("missing spec argument")?;
     let value = |name: &str, default: u64| parse_value(args, name, default);
     let flag = |name: &str| args.iter().any(|a| a == name);
 
-    match cmd.as_str() {
+    let text = match cmd.as_str() {
         "info" => info(spec, parse_format(args)?),
         "schedule" => schedule(spec, parse_format(args)?),
         "tree" => {
@@ -1017,14 +1029,17 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 deadline_ms,
             )
         }
-        "serve" => serve(
-            spec,
-            value("--workers", 0)? as usize,
-            value("--queue", 1024)? as usize,
-            value("--cache", 256)? as usize,
-            value("--responses", 1024)? as usize,
-            flag("--stats"),
-        ),
+        "serve" => {
+            return serve(
+                spec,
+                value("--workers", 0)? as usize,
+                value("--queue", 1024)? as usize,
+                value("--cache", 256)? as usize,
+                value("--responses", 1024)? as usize,
+                flag("--stats"),
+                out,
+            )
+        }
         "export" => {
             let prefix = match args.iter().position(|a| a == "--prefix") {
                 Some(i) => args
@@ -1036,7 +1051,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             export_c(spec, value("--budget", 8)? as usize, &prefix)
         }
         other => Err(format!("unknown command '{other}'").into()),
-    }
+    }?;
+    out.write_all(text.as_bytes())?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1046,6 +1063,12 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(ToString::to_string).collect()
+    }
+
+    fn serve_text(batch: &str, cache: usize, with_stats: bool) -> Result<String, CliError> {
+        let mut out = Vec::new();
+        serve(batch, 1, 16, cache, 64, with_stats, &mut out)?;
+        Ok(String::from_utf8(out).unwrap())
     }
 
     #[test]
@@ -1303,7 +1326,7 @@ mod tests {
         let batch = submit("fig9", 6, 12, 5, 1, "ftqs", 4, None, None).unwrap();
         let path = std::env::temp_dir().join("ftqs-cli-serve-test.ndjson");
         std::fs::write(&path, &batch).unwrap();
-        let out = serve(path.to_str().unwrap(), 1, 16, 8, 64, true).unwrap();
+        let out = serve_text(path.to_str().unwrap(), 8, true).unwrap();
         std::fs::remove_file(&path).ok();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 7, "6 responses + 1 stats line");
@@ -1327,7 +1350,7 @@ mod tests {
              {\"id\": 2, \"preset\": {\"family\": \"fig9\", \"size\": 12, \"seed\": 5}}\n",
         )
         .unwrap();
-        let out = serve(path.to_str().unwrap(), 1, 16, 8, 64, false).unwrap();
+        let out = serve_text(path.to_str().unwrap(), 8, false).unwrap();
         std::fs::remove_file(&path).ok();
         let responses: Vec<ftqs_service::transport::WireResponse> = out
             .lines()
@@ -1341,7 +1364,7 @@ mod tests {
 
     #[test]
     fn serve_rejects_missing_batch_files() {
-        assert!(serve("/nonexistent/batch.ndjson", 1, 4, 4, 4, false).is_err());
+        assert!(serve_text("/nonexistent/batch.ndjson", 4, false).is_err());
     }
 
     // ----- argv dispatch ---------------------------------------------------

@@ -32,17 +32,21 @@
 //! `<spec>` is a spec file path, `-` for stdin, or `--example` for the
 //! paper's Fig. 1 application. Malformed numeric flags (e.g. `--budget
 //! abc`) are hard errors, never silent defaults. The dispatcher itself is
-//! [`ftqs_cli::run`], unit-tested in the library.
+//! [`ftqs_cli::run_to`], unit-tested in the library through
+//! [`ftqs_cli::run`].
 
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match ftqs_cli::run(&args) {
-        Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
+    // `serve` streams its responses through this buffer as they complete.
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let result = ftqs_cli::run_to(&args, &mut out);
+    // Whatever `serve` answered before an error still reaches stdout.
+    let flushed = out.flush();
+    match result.and_then(|()| Ok(flushed?)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("{}", ftqs_cli::USAGE);

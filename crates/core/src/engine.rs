@@ -353,6 +353,23 @@ impl SynthesisRequest {
         self
     }
 
+    /// Applies the [`SynthesisRequest::with_max_processes`] gate to an
+    /// application of `processes` processes, with the verdict and message
+    /// [`Session::synthesize`] gives. A caller serving a stored outcome,
+    /// whose cache key excludes the limit, gates it this way.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidRequest`] when `processes` exceeds the limit.
+    pub fn check_process_limit(&self, processes: usize) -> Result<(), Error> {
+        match self.max_processes {
+            Some(max) if processes > max => Err(Error::invalid_request(format!(
+                "application has {processes} processes, request allows at most {max}"
+            ))),
+            _ => Ok(()),
+        }
+    }
+
     /// Caps the worker threads the parallel synthesis layers may use for
     /// this request (`1` forces fully serial execution). Results are
     /// bit-identical at any setting; this only trades latency for CPU.
@@ -395,10 +412,11 @@ impl SynthesisRequest {
 /// needs, built once and shared read-only by any number of sessions.
 ///
 /// This is the cacheable synthesis artifact handle. A `PreparedApp` is
-/// immutable, `Send + Sync`, and cheap to share behind an [`Arc`]; the
-/// fleet service keeps them in its cross-request cache keyed by
-/// [`PreparedApp::digest`] combined with [`Engine::config_digest`] /
-/// [`SynthesisRequest::knob_digest`]. [`Session::synthesize_prepared`]
+/// immutable, `Send + Sync`, and cheap to share behind an [`Arc`], for
+/// callers that synthesize one application under many requests; a cache
+/// of them is keyed by [`PreparedApp::digest`] combined with
+/// [`Engine::config_digest`] / [`SynthesisRequest::knob_digest`].
+/// [`Session::synthesize_prepared`]
 /// runs against one without re-deriving any per-application table, and
 /// its output is pinned bit-identical to [`Session::synthesize`] on the
 /// same application.
@@ -510,14 +528,7 @@ impl Session {
         prepared: Option<&PreparedApp>,
         request: &SynthesisRequest,
     ) -> Result<SynthesisReport, Error> {
-        if let Some(max) = request.max_processes {
-            if app.len() > max {
-                return Err(Error::invalid_request(format!(
-                    "application has {} processes, request allows at most {max}",
-                    app.len()
-                )));
-            }
-        }
+        request.check_process_limit(app.len())?;
         if let SynthesisPolicy::Ftqs { budget } = request.policy {
             if budget == 0 {
                 return Err(Error::invalid_request(

@@ -458,7 +458,8 @@ struct TreeBuilder<'a, 's> {
     config: &'a FtqsConfig,
     model: &'a AppModel,
     /// Shared per-process compiled utility tables (cache-friendly: owned
-    /// by the caller, possibly a cross-request artifact cache).
+    /// by the caller, possibly a [`crate::PreparedApp`] shared across
+    /// requests).
     compiled: &'a CompiledUtilities,
     /// The session scratch: runs the root synthesis and captures the
     /// per-parent base checkpoints (serial side only).

@@ -1,11 +1,16 @@
-//! The cross-request artifact cache.
+//! The cross-request artifact cache, which the fleet service runs as a
+//! report cache.
 //!
 //! Maps a [`ContentDigest`] cache key (application content combined with
 //! the engine/request knob digests — see [`crate::Service`]) to an
-//! [`Arc<PreparedApp>`]: the owned model tables and compiled utilities a
-//! synthesis run needs. Entries are immutable and shared read-only, so a
-//! hit costs one lock acquisition and one `Arc` clone; the synthesis
-//! itself runs outside the lock.
+//! immutable value behind an [`Arc`]. The fleet service stores one
+//! synthesis outcome per key, so a repeated request is answered without
+//! resolving, preparing or synthesizing anything. The type parameter
+//! defaults to [`PreparedApp`] (the owned model tables and compiled
+//! utilities a synthesis run needs) for callers that cache the
+//! per-application artifact instead. A hit costs one lock acquisition and
+//! one `Arc` clone; whatever the caller does with the value runs outside
+//! the lock.
 //!
 //! Eviction is least-recently-used over a capacity bound. The map is
 //! small (hundreds of entries, each a few hundred KB at most), so LRU is
@@ -13,24 +18,27 @@
 //! the minimum — O(capacity), which at these sizes is cheaper and
 //! simpler than an intrusive list, and never wrong.
 //!
-//! Builds happen *outside* the lock: two workers missing on the same key
-//! concurrently will both build and both insert (last write wins — the
-//! artifacts are bit-identical by construction, so which `Arc` survives
-//! is unobservable). Both misses are counted; the duplicate build is the
-//! accepted cost of not serializing every cold synthesis behind a build
-//! lock.
+//! Builds happen *outside* the lock. With [`ArtifactCache::get`] and
+//! [`ArtifactCache::insert`], two callers missing on the same key
+//! concurrently both build and both insert (last write wins — the values
+//! are bit-identical by construction, so which `Arc` survives is
+//! unobservable). The service looks up through `get_or_claim` instead: a
+//! miss claims the key's build, and a concurrent caller asking for that
+//! key waits for the build rather than repeating it, so one key is
+//! synthesized once however many workers ask for it at the same moment.
+//! Builds of different keys never wait for each other.
 
 use ftqs_core::{ContentDigest, PreparedApp};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Counters and occupancy of an [`ArtifactCache`], as one coherent
 /// snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
-    /// Lookups that found a prepared artifact.
+    /// Lookups that found an entry.
     pub hits: u64,
-    /// Lookups that found nothing (each implies one artifact build).
+    /// Lookups that found nothing (each implies one build).
     pub misses: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,
@@ -53,28 +61,78 @@ impl CacheStats {
 }
 
 #[derive(Debug)]
-struct Entry {
-    value: Arc<PreparedApp>,
+struct Entry<V> {
+    value: Arc<V>,
     last_used: u64,
 }
 
 #[derive(Debug)]
-struct Inner {
-    map: HashMap<ContentDigest, Entry>,
+struct Inner<V> {
+    map: HashMap<ContentDigest, Entry<V>>,
+    /// Keys whose build a [`BuildClaim`] holds.
+    building: HashSet<ContentDigest>,
     tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-/// Bounded, thread-safe LRU cache of prepared synthesis artifacts.
+impl<V> Inner<V> {
+    /// Looks `key` up, counting a hit or a miss and refreshing recency.
+    fn lookup(&mut self, key: ContentDigest) -> Option<Arc<V>> {
+        self.tick += 1;
+        let tick = self.tick;
+        match self.map.get_mut(&key) {
+            Some(entry) => {
+                entry.last_used = tick;
+                let value = Arc::clone(&entry.value);
+                self.hits += 1;
+                Some(value)
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+}
+
+/// Bounded, thread-safe LRU cache of immutable synthesis artifacts.
 #[derive(Debug)]
-pub struct ArtifactCache {
-    inner: Mutex<Inner>,
+pub struct ArtifactCache<V = PreparedApp> {
+    inner: Mutex<Inner<V>>,
+    /// Signalled whenever a [`BuildClaim`] is released.
+    built: Condvar,
     capacity: usize,
 }
 
-impl ArtifactCache {
+/// The claim on building one missing key, from
+/// [`ArtifactCache::get_or_claim`]. Other callers asking for the key wait
+/// while it lives. [`BuildClaim::fill`] inserts the built value; dropping
+/// the claim unfilled — the build failed, panicked, or produced nothing
+/// cacheable — lets the next waiter claim the build instead.
+#[derive(Debug)]
+pub(crate) struct BuildClaim<'a, V> {
+    cache: &'a ArtifactCache<V>,
+    key: ContentDigest,
+}
+
+impl<V> BuildClaim<'_, V> {
+    /// Inserts the built value under the claimed key, then releases the
+    /// claim.
+    pub(crate) fn fill(self, value: Arc<V>) {
+        self.cache.insert(self.key, value);
+    }
+}
+
+impl<V> Drop for BuildClaim<'_, V> {
+    fn drop(&mut self) {
+        self.cache.lock_inner().building.remove(&self.key);
+        self.cache.built.notify_all();
+    }
+}
+
+impl<V> ArtifactCache<V> {
     /// An empty cache bounded to `capacity` entries.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
@@ -82,11 +140,13 @@ impl ArtifactCache {
         ArtifactCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                building: HashSet::new(),
                 tick: 0,
                 hits: 0,
                 misses: 0,
                 evictions: 0,
             }),
+            built: Condvar::new(),
             capacity,
         }
     }
@@ -96,26 +156,33 @@ impl ArtifactCache {
     /// panicking paths between mutations), so the state behind a
     /// poisoned lock is still coherent — a panicking worker thread must
     /// never wedge the rest of the fleet out of the cache.
-    fn lock_inner(&self) -> MutexGuard<'_, Inner> {
+    fn lock_inner(&self) -> MutexGuard<'_, Inner<V>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks `key` up, counting a hit or a miss and refreshing recency.
     #[must_use]
-    pub fn get(&self, key: ContentDigest) -> Option<Arc<PreparedApp>> {
+    pub fn get(&self, key: ContentDigest) -> Option<Arc<V>> {
+        self.lock_inner().lookup(key)
+    }
+
+    /// Like [`ArtifactCache::get`], but a miss returns the claim on
+    /// building `key` (see [`BuildClaim`]). While another caller holds
+    /// that claim, this waits for it to be released and then looks again,
+    /// so a hit may follow a wait and a miss always means one build.
+    pub(crate) fn get_or_claim(&self, key: ContentDigest) -> Result<Arc<V>, BuildClaim<'_, V>> {
         let mut inner = self.lock_inner();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let value = Arc::clone(&entry.value);
-                inner.hits += 1;
-                Some(value)
-            }
+        while inner.building.contains(&key) {
+            inner = self
+                .built
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        match inner.lookup(key) {
+            Some(value) => Ok(value),
             None => {
-                inner.misses += 1;
-                None
+                inner.building.insert(key);
+                Err(BuildClaim { cache: self, key })
             }
         }
     }
@@ -123,7 +190,7 @@ impl ArtifactCache {
     /// Inserts (or refreshes) `key`, evicting the least-recently-used
     /// entry when the capacity bound is hit. Re-inserting an existing key
     /// replaces its value without counting an eviction.
-    pub fn insert(&self, key: ContentDigest, value: Arc<PreparedApp>) {
+    pub fn insert(&self, key: ContentDigest, value: Arc<V>) {
         let mut inner = self.lock_inner();
         inner.tick += 1;
         let tick = inner.tick;
@@ -226,6 +293,27 @@ mod tests {
         cache.insert(k1, v1);
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn a_claimed_key_is_built_once_and_an_unfilled_claim_passes_on() {
+        let cache = ArtifactCache::new(4);
+        let (k1, v1) = prepared(300);
+        let claim = cache.get_or_claim(k1).expect_err("cold key");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| cache.get_or_claim(k1).is_ok());
+            // The waiter cannot return before the claim is filled: it
+            // either blocks on the claim or arrives after the fill.
+            claim.fill(v1);
+            assert!(waiter.join().unwrap(), "the waiter is served the fill");
+        });
+        let (k2, v2) = prepared(400);
+        drop(cache.get_or_claim(k2).expect_err("cold key"));
+        let claim = cache.get_or_claim(k2).expect_err("nothing was filled");
+        claim.fill(v2);
+        assert!(cache.get_or_claim(k2).is_ok());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 3));
     }
 
     #[test]

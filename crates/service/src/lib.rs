@@ -4,11 +4,11 @@
 //! invocation. A synthesis *fleet* — sweeping thousands of generated
 //! applications, or serving synthesis requests for a family of related
 //! configurations — pays the fixed costs over and over: application
-//! generation or spec parsing, and the per-application model derivation
-//! ([`AppModel`](ftqs_core::ftss) tables, compiled utilities) that every
-//! run needs before the actual scheduling starts. This crate is the
-//! long-lived server shape for that workload, std-only (no async
-//! runtime — synthesis is CPU-bound, so threads *are* the right
+//! generation or spec parsing, the per-application model derivation
+//! ([`AppModel`](ftqs_core::ftss) tables, compiled utilities), and the
+//! synthesis itself, even for a request it has answered before. This
+//! crate is the long-lived server shape for that workload, std-only (no
+//! async runtime — synthesis is CPU-bound, so threads *are* the right
 //! concurrency primitive offline), built to the same fault-tolerance
 //! contract the paper demands of the scheduled platform: faults beyond
 //! the design assumptions degrade service, they never collapse it.
@@ -24,7 +24,7 @@
 //!    poison-immune locks)         │        │           │ thread death
 //!                                 │        │      supervisor thread
 //!                                 │        ▼
-//!                                 │  artifact cache ── ContentDigest key:
+//!                                 │  report cache ──── ContentDigest key:
 //!                                 │  (LRU, Arc-shared) app ⊕ engine ⊕ knobs
 //!                                 │        │
 //!                                 ▼        ▼
@@ -52,15 +52,24 @@
 //!   respawns the worker — [`ServiceStats::panics`] and
 //!   [`ServiceStats::respawns`] count both events, and the queue's locks
 //!   recover from poisoning so one bad job can never wedge the fleet.
-//! * The **artifact cache** ([`cache`]) shares [`PreparedApp`]s — the
-//!   owned model tables and compiled utilities behind an [`Arc`] —
-//!   across workers, keyed by a canonical [`ContentDigest`] of the job
-//!   source combined with [`Engine::config_digest`] and
-//!   [`SynthesisRequest::knob_digest`]. A hit skips application
-//!   generation/parsing *and* model derivation; the synthesis itself
-//!   always runs, so a cached response is bit-identical to a cold one
-//!   (the cache-correctness tests pin this through
-//!   [`ftqs_core::tree_digest`]).
+//! * The **report cache** ([`cache`]) shares synthesis outcomes across
+//!   workers, keyed by a canonical [`ContentDigest`] of the job source
+//!   combined with [`Engine::config_digest`] and
+//!   [`SynthesisRequest::knob_digest`]. Synthesis is offline and
+//!   deterministic, so one key always yields the same outcome: a hit is
+//!   answered with a clone of the stored [`SynthesisReport`] — or of the
+//!   stored [`ftqs_core::Error`], since unschedulable applications are
+//!   cached too — without resolving, preparing or synthesizing. The
+//!   cache-correctness tests pin hit responses bit-identical to cold ones
+//!   through [`ftqs_core::tree_digest`]. On a hit,
+//!   `report.timing.synthesis_micros` echoes the original synthesis,
+//!   while [`ServiceResponse::service_micros`] is the lookup time. The key
+//!   excludes the request's `max_processes` limit, so its gate runs
+//!   against the entry's stored process count before the entry is
+//!   served. Only synthesis outcomes are stored: gate rejections, source
+//!   errors, worker panics and deadline answers never are. Misses are
+//!   single-flight: while one worker synthesizes a key, others asking
+//!   for it wait for its entry instead of synthesizing it again.
 //! * **Responses** stream in completion order through a *bounded* ring,
 //!   tagged with the request id and per-request queueing/service
 //!   timings: when the consumer falls behind, workers block on the full
@@ -295,11 +304,13 @@ pub struct ServiceResponse {
     pub id: u64,
     /// The report, or why there is none.
     pub outcome: Result<SynthesisReport, ServiceError>,
-    /// Whether the prepared artifact came from the cache.
+    /// Whether the outcome came from the report cache. A hit's
+    /// `report.timing` echoes the synthesis that filled the entry.
     pub cache_hit: bool,
     /// Time spent waiting in the queue, in microseconds.
     pub queued_micros: u64,
-    /// Time spent resolving + synthesizing, in microseconds.
+    /// Time spent on the request by a worker, in microseconds: the cache
+    /// lookup, plus resolving and synthesizing on a miss.
     pub service_micros: u64,
     /// Whether the request's deadline (if any) had passed by the time
     /// this response was produced. `true` both for
@@ -343,7 +354,7 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bound of the work queue (requests awaiting a worker).
     pub queue_capacity: usize,
-    /// Bound of the artifact cache (prepared applications).
+    /// Bound of the report cache (synthesis outcomes).
     pub cache_capacity: usize,
     /// Bound of the response ring (completed responses awaiting the
     /// consumer). Workers block on a full ring, so a slow consumer
@@ -415,7 +426,7 @@ pub struct ServiceStats {
     pub total_queued_micros: u64,
     /// Sum of per-request service times, in microseconds.
     pub total_service_micros: u64,
-    /// Artifact-cache counters.
+    /// Report-cache counters.
     pub cache: CacheStats,
 }
 
@@ -448,12 +459,21 @@ pub(crate) struct Job {
     deadline: Option<Instant>,
 }
 
+/// A report-cache entry: the synthesis outcome for one key, and the
+/// application's process count for the `max_processes` gate, which the
+/// key leaves out.
+#[derive(Debug)]
+struct CachedReport {
+    processes: usize,
+    outcome: Result<SynthesisReport, ftqs_core::Error>,
+}
+
 /// Everything a worker (and its supervisor) needs, shared once.
 #[derive(Debug)]
 pub(crate) struct WorkerContext {
     pub(crate) queue: Queue<Job>,
     pub(crate) responses: Queue<ServiceResponse>,
-    pub(crate) cache: ArtifactCache,
+    cache: ArtifactCache<CachedReport>,
     pub(crate) counters: Counters,
     engine: Engine,
     intra_parallelism: usize,
@@ -461,7 +481,7 @@ pub(crate) struct WorkerContext {
 }
 
 /// The running fleet service: a bounded two-lane queue, a supervised
-/// worker pool, the shared artifact cache, and a bounded response ring.
+/// worker pool, the shared report cache, and a bounded response ring.
 /// See the crate docs for the architecture.
 ///
 /// Dropping the service closes the queue, drains in-flight work, and
@@ -643,11 +663,14 @@ impl Service {
     /// consumer can close the intake out from under blocked producers.
     /// Follow with [`Service::shutdown`] (or drop) to join the workers.
     pub fn close(&self) {
-        // Lift the response ring's bound first: workers blocked on a full
-        // ring must drain out, and the backlog is bounded by the work
-        // outstanding right now (≤ queue + workers in flight).
-        self.ctx.responses.lift_capacity();
+        // Close the intake first: lifting the ring first would let a
+        // blocked worker deliver and pop, freeing a queue slot that a
+        // parked submitter could take before the close. Then lift the
+        // response ring's bound so workers blocked on a full ring drain
+        // out; the backlog is bounded by the work outstanding right now
+        // (≤ queue + workers in flight).
         self.ctx.queue.close();
+        self.ctx.responses.lift_capacity();
     }
 
     /// Stops accepting work, drains the queue, joins the workers (via the
@@ -711,8 +734,9 @@ pub(crate) fn deliver(ctx: &WorkerContext, response: ServiceResponse) {
     }
 }
 
-/// Resolves the job's application (through the artifact cache) and runs
-/// the synthesis. Pure with respect to service state except the cache.
+/// Answers the job from the report cache, or resolves, synthesizes and
+/// caches its outcome. Pure with respect to service state except the
+/// cache.
 fn execute(
     session: &mut Session,
     ctx: &WorkerContext,
@@ -724,27 +748,31 @@ fn execute(
         .digest()
         .combine(config_digest)
         .combine(request.knob_digest());
-    match ctx.cache.get(key) {
-        Some(prepared) => (
-            session
-                .synthesize_prepared(&prepared, request)
-                .map_err(ServiceError::Synthesis),
-            true,
-        ),
-        None => match source.resolve() {
-            Ok(app) => {
-                let prepared = Arc::new(PreparedApp::from_arc(app));
-                ctx.cache.insert(key, Arc::clone(&prepared));
-                (
-                    session
-                        .synthesize_prepared(&prepared, request)
-                        .map_err(ServiceError::Synthesis),
-                    false,
-                )
-            }
-            Err(e) => (Err(e), false),
-        },
+    let claim = match ctx.cache.get_or_claim(key) {
+        Ok(entry) => {
+            let outcome = request
+                .check_process_limit(entry.processes)
+                .and_then(|()| entry.outcome.clone());
+            return (outcome.map_err(ServiceError::Synthesis), true);
+        }
+        Err(claim) => claim,
+    };
+    let app = match source.resolve() {
+        Ok(app) => app,
+        Err(e) => return (Err(e), false),
+    };
+    let processes = app.len();
+    // A gate rejection is this request's answer, not the key's: dropping
+    // the claim unfilled leaves the key to an unbounded twin.
+    if let Err(e) = request.check_process_limit(processes) {
+        return (Err(ServiceError::Synthesis(e)), false);
     }
+    let outcome = session.synthesize_prepared(&PreparedApp::from_arc(app), request);
+    claim.fill(Arc::new(CachedReport {
+        processes,
+        outcome: outcome.clone(),
+    }));
+    (outcome.map_err(ServiceError::Synthesis), false)
 }
 
 pub(crate) fn worker_loop(ctx: &Arc<WorkerContext>, guard: &mut WorkerGuard) {

@@ -56,11 +56,15 @@ pub struct WireResponse {
     pub ok: bool,
     /// Why not, when `ok` is false.
     pub error: Option<String>,
-    /// Whether the prepared artifact came from the cache.
+    /// Whether the answer came from the report cache, without resolving
+    /// or synthesizing. A hit's `report.timing.synthesis_micros` echoes
+    /// the synthesis that filled the entry; `service_micros` is the
+    /// lookup.
     pub cache_hit: bool,
     /// Queue-wait time in microseconds.
     pub queued_micros: u64,
-    /// Resolve + synthesis time in microseconds.
+    /// Worker time in microseconds: the cache lookup, plus resolve and
+    /// synthesis on a miss.
     pub service_micros: u64,
     /// Whether the request's deadline (if any) had passed by the time
     /// the response was produced.

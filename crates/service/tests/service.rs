@@ -1,17 +1,22 @@
 //! Cache-correctness and robustness tests for the fleet service.
 //!
-//! The load-bearing properties: a response served from the artifact cache
+//! The load-bearing properties: a response served from the report cache
 //! is *bit-identical* to a cold synthesis of the same request — same
 //! quasi-static tree (pinned through [`ftqs_core::tree_digest`]) and the
-//! same expected utility down to the last mantissa bit — and the service
+//! same expected utility down to the last mantissa bit — the cache never
+//! serves an answer that belongs to one request rather than to its key
+//! (gate rejections, panics), and the service
 //! degrades gracefully (priorities, deadlines, backpressure, shutdown
 //! races) instead of hanging or panicking. Fault-injection coverage
 //! (worker panics, kills, supervision) lives in `tests/chaos.rs`.
 
-use ftqs_core::{tree_digest, ContentDigest, Engine, SynthesisReport, SynthesisRequest};
+use ftqs_core::{
+    tree_digest, ContentDigest, Engine, Error, SchedulingError, SynthesisReport, SynthesisRequest,
+};
 use ftqs_service::transport::{self, WireResponse};
 use ftqs_service::{
-    JobSource, Priority, Service, ServiceConfig, ServiceError, ServiceRequest, SubmitError,
+    ChaosPolicy, JobSource, Priority, Service, ServiceConfig, ServiceError, ServiceRequest,
+    SubmitError,
 };
 use ftqs_workloads::family::{build, Family};
 use std::sync::Arc;
@@ -143,6 +148,141 @@ fn eviction_then_reinsert_stays_bit_identical() {
     let stats = service.shutdown();
     assert!(stats.cache.evictions >= 2, "capacity-1 thrash must evict");
     assert_eq!(stats.cache.entries, 1);
+}
+
+#[test]
+fn unschedulable_outcomes_are_cached_with_the_same_error() {
+    // The first size-25 fig9 seed whose hard deadlines are infeasible.
+    let mut session = Engine::new().session();
+    let seed = (0..64)
+        .find(|&seed| {
+            matches!(
+                session.synthesize(&build(Family::Fig9, 25, seed), &SynthesisRequest::ftqs(4)),
+                Err(Error::Scheduling(SchedulingError::Unschedulable { .. }))
+            )
+        })
+        .expect("some fig9-25 seed below 64 is unschedulable");
+    let request = |id| {
+        ServiceRequest::new(
+            id,
+            JobSource::Preset {
+                family: "fig9".to_string(),
+                size: 25,
+                seed,
+            },
+            SynthesisRequest::ftqs(4),
+        )
+    };
+    let mut service = single_worker_service(8);
+    let responses = service.run_batch(vec![request(0), request(1)]);
+    let error = |i: usize| match &responses[i].outcome {
+        Err(e @ ServiceError::Synthesis(Error::Scheduling(_))) => e.to_string(),
+        other => panic!("expected an unschedulable answer, got {other:?}"),
+    };
+    assert!(!responses[0].cache_hit);
+    assert!(responses[1].cache_hit, "a repeated failure is a cache hit");
+    assert_eq!(error(0), error(1), "the cached failure keeps its text");
+    let stats = service.shutdown();
+    assert_eq!((stats.cache.hits, stats.cache.misses), (1, 1));
+    assert_eq!(stats.failed, 2);
+}
+
+#[test]
+fn process_limit_gates_a_cached_entry_and_never_poisons_the_key() {
+    let unbounded = SynthesisRequest::ftqs(4);
+    let gated = SynthesisRequest::ftqs(4).with_max_processes(10);
+    let app = build(Family::Fig9, 15, 9);
+    let gate_error = Engine::new()
+        .session()
+        .synthesize(&app, &gated)
+        .expect_err("15 processes exceed a limit of 10")
+        .to_string();
+    let is_gated = |outcome: &Result<SynthesisReport, ServiceError>| {
+        matches!(outcome, Err(ServiceError::Synthesis(e @ Error::InvalidRequest { .. }))
+            if e.to_string() == gate_error)
+    };
+    let mut service = single_worker_service(8);
+    let responses = service.run_batch(vec![
+        preset(0, 9, gated.clone()),     // miss: rejected, not cached
+        preset(1, 9, unbounded.clone()), // miss: synthesized and cached
+        preset(2, 9, gated.clone()),     // hit: gated on the stored size
+        preset(3, 9, unbounded.clone()), // hit: served
+        preset(4, 9, SynthesisRequest::ftqs(4).with_max_processes(15)),
+    ]);
+    assert!(is_gated(&responses[0].outcome) && !responses[0].cache_hit);
+    assert!(
+        !responses[1].cache_hit && responses[1].outcome.is_ok(),
+        "a gate rejection must not fill the key"
+    );
+    assert!(
+        is_gated(&responses[2].outcome),
+        "the gate runs before a hit"
+    );
+    assert!(responses[3].cache_hit);
+    assert!(responses[4].cache_hit, "a limit the app fits is served");
+    let cold = fingerprint(responses[1].outcome.as_ref().unwrap());
+    for hit in &responses[3..] {
+        assert_eq!(fingerprint(hit.outcome.as_ref().unwrap()), cold);
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.cache.entries, 1);
+    assert_eq!(stats.failed, 2);
+}
+
+#[test]
+fn concurrent_duplicates_are_synthesized_once() {
+    // Four workers take the same key at once: one builds, the others wait
+    // for its entry instead of synthesizing the same report again.
+    let mut service = Service::start(ServiceConfig {
+        workers: 4,
+        cache_capacity: 8,
+        ..ServiceConfig::default()
+    });
+    let responses = service.run_batch(
+        (0..16)
+            .map(|id| preset(id, 9, SynthesisRequest::ftqs(8)))
+            .collect(),
+    );
+    assert_eq!(responses.iter().filter(|r| !r.cache_hit).count(), 1);
+    let cold = fingerprint(responses[0].outcome.as_ref().unwrap());
+    assert!(responses
+        .iter()
+        .all(|r| fingerprint(r.outcome.as_ref().unwrap()) == cold));
+    let stats = service.shutdown();
+    assert_eq!((stats.cache.hits, stats.cache.misses), (15, 1));
+}
+
+#[test]
+fn an_injected_panic_leaves_no_cache_entry() {
+    let policy = ChaosPolicy {
+        panic_per_mille: 500,
+        ..ChaosPolicy::calm(0x5EED)
+    };
+    let panicking = (0..).find(|&id| policy.decide(id).panic).unwrap();
+    let calm = (0..).find(|&id| !policy.decide(id).panic).unwrap();
+    let mut service = Service::start(ServiceConfig {
+        workers: 1,
+        cache_capacity: 8,
+        chaos: Some(policy),
+        ..ServiceConfig::default()
+    });
+    let request = SynthesisRequest::ftqs(4);
+    let responses = service.run_batch(vec![
+        preset(panicking, 9, request.clone()),
+        preset(calm, 9, request.clone()),
+    ]);
+    assert!(matches!(
+        responses[0].outcome,
+        Err(ServiceError::WorkerPanic(_))
+    ));
+    assert!(!responses[0].cache_hit);
+    assert!(
+        !responses[1].cache_hit && responses[1].outcome.is_ok(),
+        "the panic must not have left an entry for the key"
+    );
+    let stats = service.shutdown();
+    assert_eq!(stats.panics, 1);
+    assert_eq!((stats.cache.hits, stats.cache.entries), (0, 1));
 }
 
 #[test]
@@ -454,6 +594,64 @@ fn malformed_ndjson_lines_answer_in_place_and_spare_the_batch() {
     assert!(anonymous.iter().any(|e| e.contains("line 2")));
     assert!(anonymous.iter().any(|e| e.contains("line 4")));
     let _ = service.shutdown();
+}
+
+#[test]
+fn deeply_nested_line_is_a_per_line_error() {
+    // 200k `[` would overflow the parser's stack without the depth cap,
+    // aborting the whole process; it must answer like any malformed line.
+    let mut service = single_worker_service(8);
+    let input = format!(
+        "{}\n{}\n{}\n",
+        "{\"id\": 1, \"preset\": {\"family\": \"fig9\", \"size\": 12, \"seed\": 5}}",
+        "[".repeat(200_000),
+        "{\"id\": 2, \"preset\": {\"family\": \"fig9\", \"size\": 12, \"seed\": 5}}",
+    );
+    let mut output = Vec::new();
+    let summary = transport::serve(&service, input.as_bytes(), &mut output).unwrap();
+    assert_eq!((summary.accepted, summary.malformed), (2, 1));
+    let lines: Vec<WireResponse> = String::from_utf8(output)
+        .unwrap()
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    assert_eq!(lines.len(), 3);
+    let nested = lines.iter().find(|r| !r.ok).unwrap();
+    let error = nested.error.as_deref().unwrap();
+    assert!(
+        error.contains("line 2") && error.contains("nesting"),
+        "{error}"
+    );
+    let mut served: Vec<u64> = lines.iter().filter(|r| r.ok).map(|r| r.id).collect();
+    served.sort_unstable();
+    assert_eq!(served, [1, 2], "the neighbouring lines are answered");
+    let _ = service.shutdown();
+}
+
+#[test]
+fn megabyte_spec_line_parses_to_the_same_text() {
+    // Parse cost is linear in the line length: a spec line of over 1 MiB
+    // with multibyte comments between escapes parses in milliseconds (a
+    // per-character re-validation of the rest of the line would take
+    // minutes). The text must come back bit-identical.
+    let base = ftqs_workloads::spec::render(&build(Family::Fig9, 40, 3));
+    let mut spec = String::new();
+    while spec.len() < (1 << 20) {
+        spec.push_str(&base);
+        spec.push_str("# naïve “quotes” \"≥\" \\ 𝄞\tend\n");
+    }
+    let line = serde_json::to_string(&serde::Value::Map(vec![
+        ("id".to_string(), serde::Value::U64(9)),
+        ("spec".to_string(), serde::Value::Str(spec.clone())),
+    ]))
+    .unwrap();
+    assert!(line.len() >= 1 << 20);
+    let request = transport::parse_request(&line).expect("a long line parses");
+    assert_eq!(request.id, 9);
+    match request.source {
+        JobSource::Spec(text) => assert_eq!(text.as_bytes(), spec.as_bytes()),
+        other => panic!("expected a spec source, got {other:?}"),
+    }
 }
 
 #[test]
