@@ -50,6 +50,11 @@ pub enum ApplicationError {
         /// The application period.
         period: Time,
     },
+    /// The worst-case horizon `(k+1)·ΣWCET + k·max µ` — the latest
+    /// completion any schedule of the application can reach under `k`
+    /// faults — or some per-process recovery penalty `wcet + µ` does not
+    /// fit the millisecond range of [`Time`].
+    HorizonOverflow,
     /// Graph construction failed (cycle, duplicate edge, ...).
     Graph(GraphError),
 }
@@ -66,6 +71,10 @@ impl fmt::Display for ApplicationError {
             } => write!(
                 f,
                 "deadline {deadline} of process {process} exceeds period {period}"
+            ),
+            ApplicationError::HorizonOverflow => write!(
+                f,
+                "worst-case horizon (k+1)·ΣWCET + k·max µ overflows the time range"
             ),
             ApplicationError::Graph(e) => write!(f, "graph error: {e}"),
         }
@@ -297,6 +306,8 @@ impl ApplicationBuilder {
     /// * [`ApplicationError::ZeroPeriod`] if the period is zero.
     /// * [`ApplicationError::DeadlineBeyondPeriod`] if a hard deadline lies
     ///   beyond the period.
+    /// * [`ApplicationError::HorizonOverflow`] if the worst-case horizon
+    ///   or a recovery penalty overflows [`Time`].
     pub fn build(self) -> Result<Application, ApplicationError> {
         if self.graph.is_empty() {
             return Err(ApplicationError::Empty);
@@ -315,11 +326,37 @@ impl ApplicationBuilder {
                 }
             }
         }
+        // Synthesis and analysis add and multiply `Time`s unchecked; every
+        // value they form is bounded by the horizon, so checking it once
+        // here keeps the guarantee sound on every accepted input.
+        if self.horizon_ms().is_none() {
+            return Err(ApplicationError::HorizonOverflow);
+        }
         Ok(Application {
             graph: self.graph,
             period: self.period,
             faults: self.faults,
         })
+    }
+
+    /// `(k+1)·ΣWCET + k·max µ` in ms (per-process recovery overrides
+    /// included), or `None` when it — or any per-process recovery
+    /// penalty `wcet + µ` — overflows `u64`.
+    fn horizon_ms(&self) -> Option<u64> {
+        let k = u64::try_from(self.faults.k).ok()?;
+        let mut wcet_sum = 0u64;
+        let mut mu_max = self.faults.mu.as_ms();
+        for n in self.graph.nodes() {
+            let p = self.graph.payload(n);
+            let wcet = p.times().wcet().as_ms();
+            let mu = p.recovery_overhead().unwrap_or(self.faults.mu).as_ms();
+            wcet.checked_add(mu)?;
+            wcet_sum = wcet_sum.checked_add(wcet)?;
+            mu_max = mu_max.max(mu);
+        }
+        k.checked_add(1)?
+            .checked_mul(wcet_sum)?
+            .checked_add(k.checked_mul(mu_max)?)
     }
 }
 
@@ -377,6 +414,36 @@ mod tests {
             b.build(),
             Err(ApplicationError::DeadlineBeyondPeriod { .. })
         ));
+    }
+
+    #[test]
+    fn overflowing_horizon_is_rejected() {
+        let max = Time::from_ms(u64::MAX);
+        let horizon_of = |k: usize, mu: Time, wcet: Time, recovery: Option<Time>| {
+            let mut b = Application::builder(max, FaultModel::new(k, mu));
+            let times = ExecutionTimes::uniform(Time::ZERO, wcet).unwrap();
+            let p = Process::hard("P", times, max);
+            b.add_process(match recovery {
+                Some(r) => p.with_recovery_overhead(r),
+                None => p,
+            });
+            b.build()
+        };
+        let overflow = |r: Result<Application, ApplicationError>| {
+            matches!(r, Err(ApplicationError::HorizonOverflow))
+        };
+        // 2·WCET alone wraps with one fault.
+        assert!(overflow(horizon_of(1, t(5), max, None)));
+        assert!(overflow(horizon_of(1, max, t(10), None)));
+        assert!(overflow(horizon_of(1, t(5), t(10), Some(max))));
+        assert!(overflow(horizon_of(usize::MAX, t(5), t(10), None)));
+        // Without faults the penalty `wcet + µ` must still fit.
+        assert!(overflow(horizon_of(0, t(1), max, None)));
+        // The largest horizon that fits is accepted: 2·w + µ = u64::MAX.
+        let w = (u64::MAX - 1) / 2;
+        assert!(horizon_of(1, t(1), t(w), None).is_ok());
+        assert!(overflow(horizon_of(1, t(2), t(w), None)));
+        assert!(horizon_of(0, Time::ZERO, max, None).is_ok());
     }
 
     #[test]

@@ -59,9 +59,7 @@
 
 use crate::digest::{application_digest, ContentDigest, Hasher};
 use crate::fschedule::{CompiledUtilities, UtilityEstimator};
-use crate::ftqs::{
-    ftqs_prepared, ftqs_with, ExpansionMode, ExpansionPolicy, ExpansionStats, FtqsConfig,
-};
+use crate::ftqs::{ftqs_prepared, ftqs_with, ExpansionPolicy, ExpansionStats, FtqsConfig};
 use crate::ftsf::ftsf_with;
 use crate::ftss::{ftss_from_context, ftss_with, AppModel, FtssConfig, SynthesisScratch};
 use crate::tree::QuasiStaticTree;
@@ -95,7 +93,6 @@ pub enum SynthesisPolicy {
 pub struct Engine {
     ftss: FtssConfig,
     expansion: ExpansionPolicy,
-    mode: ExpansionMode,
     interval_samples: u32,
     estimator: UtilityEstimator,
     validate: bool,
@@ -107,7 +104,6 @@ impl Default for Engine {
         Engine {
             ftss: d.ftss,
             expansion: d.policy,
-            mode: d.mode,
             interval_samples: d.interval_samples,
             estimator: d.estimator,
             validate: false,
@@ -133,15 +129,6 @@ impl Engine {
     #[must_use]
     pub fn with_expansion_policy(mut self, policy: ExpansionPolicy) -> Self {
         self.expansion = policy;
-        self
-    }
-
-    /// Sets the default FTQS expansion mode (checkpointed-incremental vs
-    /// per-pivot rerun; see [`ExpansionMode`]). Both modes produce
-    /// bit-identical trees — this is an A/B performance knob.
-    #[must_use]
-    pub fn with_expansion_mode(mut self, mode: ExpansionMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -187,7 +174,6 @@ impl Engine {
         FtqsConfig {
             max_schedules: budget,
             policy: request.expansion.unwrap_or(self.expansion),
-            mode: request.expansion_mode.unwrap_or(self.mode),
             interval_samples: request.interval_samples.unwrap_or(self.interval_samples),
             estimator: request.estimator.unwrap_or(self.estimator),
             ftss: self.ftss.clone(),
@@ -204,7 +190,6 @@ impl Engine {
         let mut h = Hasher::new();
         digest_ftss(&mut h, &self.ftss);
         digest_expansion(&mut h, self.expansion);
-        digest_mode(&mut h, self.mode);
         h.write_u64(u64::from(self.interval_samples));
         digest_estimator(&mut h, self.estimator);
         h.write_u8(u8::from(self.validate));
@@ -223,14 +208,6 @@ fn digest_expansion(h: &mut Hasher, policy: ExpansionPolicy) {
         ExpansionPolicy::MostSimilar => 0,
         ExpansionPolicy::Fifo => 1,
         ExpansionPolicy::BestImprovement => 2,
-    });
-}
-
-fn digest_mode(h: &mut Hasher, mode: ExpansionMode) {
-    h.write_u8(match mode {
-        ExpansionMode::Incremental => 0,
-        ExpansionMode::Rerun => 1,
-        ExpansionMode::Replay => 2,
     });
 }
 
@@ -259,7 +236,6 @@ fn digest_option<T>(h: &mut Hasher, v: Option<T>, f: impl FnOnce(&mut Hasher, T)
 pub struct SynthesisRequest {
     policy: SynthesisPolicy,
     expansion: Option<ExpansionPolicy>,
-    expansion_mode: Option<ExpansionMode>,
     interval_samples: Option<u32>,
     estimator: Option<UtilityEstimator>,
     validate: Option<bool>,
@@ -274,7 +250,6 @@ impl SynthesisRequest {
         SynthesisRequest {
             policy,
             expansion: None,
-            expansion_mode: None,
             interval_samples: None,
             estimator: None,
             validate: None,
@@ -311,15 +286,6 @@ impl SynthesisRequest {
     #[must_use]
     pub fn with_expansion_policy(mut self, policy: ExpansionPolicy) -> Self {
         self.expansion = Some(policy);
-        self
-    }
-
-    /// Overrides the engine's FTQS expansion mode for this request
-    /// (checkpointed-incremental vs per-pivot rerun; bit-identical output
-    /// either way).
-    #[must_use]
-    pub fn with_expansion_mode(mut self, mode: ExpansionMode) -> Self {
-        self.expansion_mode = Some(mode);
         self
     }
 
@@ -397,7 +363,6 @@ impl SynthesisRequest {
             SynthesisPolicy::Ftsf => h.write_u8(2),
         }
         digest_option(&mut h, self.expansion, digest_expansion);
-        digest_option(&mut h, self.expansion_mode, digest_mode);
         digest_option(&mut h, self.interval_samples, |h, v| {
             h.write_u64(u64::from(v));
         });
@@ -642,8 +607,7 @@ pub struct TreeStats {
     /// the FTQS budget; proves the tree was assembled without cloning).
     pub schedule_allocations: usize,
     /// Checkpoint/restore accounting of the FTQS expansion (all zero for
-    /// FTSS/FTSF policies and, except `prefix_steps_rerun`, under
-    /// [`ExpansionMode::Rerun`]).
+    /// FTSS/FTSF policies).
     pub expansion: ExpansionStats,
 }
 
@@ -867,46 +831,6 @@ mod tests {
             err,
             Error::Scheduling(crate::SchedulingError::EmptyRootSchedule)
         ));
-        // Both expansion modes agree on the diagnosis.
-        let err = session
-            .synthesize(
-                &app,
-                &SynthesisRequest::ftqs(4).with_expansion_mode(ExpansionMode::Rerun),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            Error::Scheduling(crate::SchedulingError::EmptyRootSchedule)
-        ));
-    }
-
-    #[test]
-    fn expansion_mode_override_keeps_output_identical() {
-        let app = fig1_app();
-        let engine = Engine::new().with_expansion_mode(ExpansionMode::Rerun);
-        let mut session = engine.session();
-        let rerun = session
-            .synthesize(&app, &SynthesisRequest::ftqs(6))
-            .unwrap();
-        assert_eq!(rerun.stats.expansion.snapshots, 0, "engine default applied");
-        let incremental = session
-            .synthesize(
-                &app,
-                &SynthesisRequest::ftqs(6).with_expansion_mode(ExpansionMode::Incremental),
-            )
-            .unwrap();
-        assert!(
-            incremental.stats.expansion.snapshots >= 1,
-            "request override wins"
-        );
-        assert_eq!(incremental.tree.len(), rerun.tree.len());
-        for ((_, a), (_, b)) in incremental.tree.iter().zip(rerun.tree.iter()) {
-            assert_eq!(
-                incremental.tree.schedule(a.schedule),
-                rerun.tree.schedule(b.schedule)
-            );
-            assert_eq!(a.arcs, b.arcs);
-        }
     }
 
     #[test]
@@ -963,7 +887,7 @@ mod tests {
         for request in [
             SynthesisRequest::ftss(),
             SynthesisRequest::ftqs(6),
-            SynthesisRequest::ftqs(6).with_expansion_mode(ExpansionMode::Rerun),
+            SynthesisRequest::ftqs(6).with_expansion_policy(ExpansionPolicy::Fifo),
             SynthesisRequest::ftsf(),
         ] {
             let cold = session.synthesize(&app, &request).unwrap();
@@ -1031,7 +955,7 @@ mod tests {
             engine.config_digest(),
             engine
                 .clone()
-                .with_expansion_mode(ExpansionMode::Rerun)
+                .with_expansion_policy(ExpansionPolicy::Fifo)
                 .config_digest()
         );
         assert_eq!(engine.config_digest(), Engine::new().config_digest());

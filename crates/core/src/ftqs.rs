@@ -24,31 +24,15 @@
 //!
 //! # Performance
 //!
-//! Sub-schedule creation is **incremental** by default
-//! ([`ExpansionMode::Incremental`]): the per-pivot FTSS runs of one parent
-//! share the parent's entire committed context, so the builder initializes
-//! that context once per expanded parent, snapshots it through the
-//! [`crate::Session`] scratch's checkpoint API (see [`crate::ftss`]'s
-//! *Staged pipeline* notes), and restores per pivot — an O(n) copy plus a
-//! one-entry cursor advance instead of a from-scratch re-derivation of
-//! model tables, predecessor counts and readiness per sub-schedule. The
-//! from-scratch path is preserved behind [`ExpansionMode::Rerun`] for A/B
-//! measurement (`bench_synthesis` reports both), and
-//! [`ExpansionStats`] in the synthesis report counts snapshots, restores,
-//! and prefix steps saved vs. re-derived.
-//!
-//! [`ExpansionMode::Replay`] adds **decision replay** on top of the
-//! shared context: every FTSS run records its decisions (drops, commits,
-//! and the suffix-utility estimates feeding the drop verdicts, each with
-//! a proven-exact reuse window) as a `DecisionLog`, and each worker
-//! advances one shared logical run pivot-by-pivot over its contiguous
-//! chunk — pivot `p` replays the log captured at pivot `p − 1` (the
-//! parent's own log seeds chunk starts), reusing logged estimates while
-//! the guards hold and falling back to full per-step search from the
-//! first divergent step. Trees remain bit-identical to the oracle in
-//! every mode; `ExpansionStats` reports replayed vs searched step counts
-//! (see the *Decision replay* notes in [`crate::ftss`] for the guard
-//! conditions and the lockstep/fallback mechanics).
+//! Sub-schedule creation is **incremental**: the per-pivot FTSS runs of
+//! one parent share the parent's entire committed context, so the
+//! builder initializes that context once per expanded parent, snapshots
+//! it through the [`crate::Session`] scratch's checkpoint API (see
+//! [`crate::ftss`]'s *Staged pipeline* notes), and restores per pivot —
+//! an O(n) copy plus a one-entry cursor advance instead of a from-scratch
+//! re-derivation of model tables, predecessor counts and readiness per
+//! sub-schedule. [`ExpansionStats`] in the synthesis report counts
+//! snapshots, restores, and prefix steps saved vs. re-derived.
 //!
 //! The two embarrassingly parallel layers run on scoped worker threads
 //! (`parallel` feature, on by default; see [`crate::par`]):
@@ -56,10 +40,10 @@
 //! * **Sub-schedule generation** — the per-pivot FTSS re-runs of one
 //!   expansion are independent of each other, so they are computed in
 //!   budget-sized waves via [`par::par_map_collect_with`] and committed in
-//!   pivot order, reproducing the serial budget cutoff exactly. Under the
-//!   incremental mode every worker owns a *private* checkpoint copy (a
-//!   [`crate::ftss`] `PrefixCursor`) advanced over its contiguous pivot
-//!   chunk, so checkpoints never leak across waves or workers.
+//!   pivot order, reproducing the serial budget cutoff exactly. Every
+//!   worker owns a *private* checkpoint copy (a [`crate::ftss`]
+//!   `PrefixCursor`) advanced over its contiguous pivot chunk, so
+//!   checkpoints never leak across waves or workers.
 //! * **Interval partitioning** — each arc's utility sweep reads only its
 //!   own parent/child schedules, so all arcs are swept concurrently, each
 //!   worker owning one set of sweep buffers (the session scratch seeds
@@ -94,16 +78,16 @@
 //! The expansion *loop* itself stays serial: each `pick_expansion_candidate`
 //! decision observes every node created so far, exactly as in the paper.
 //! Results are bit-identical to the serial reference implementation
-//! ([`crate::oracle::ftqs_reference`]) in both expansion modes and at any
-//! worker count, which the equivalence tests assert.
+//! ([`crate::oracle::ftqs_reference`]) at any worker count, which the
+//! equivalence tests assert.
 
 use crate::fschedule::{
     expected_suffix_utility_est, CompiledUtilities, FSchedule, ScheduleAnalysis, ScheduleContext,
     SweepScratch, UtilityEstimator,
 };
 use crate::ftss::{
-    ftss_from_context, ftss_resume, ftss_resume_replay, ftss_with, AppModel, DecisionLog,
-    FtssConfig, PrefixCheckpoint, PrefixCursor, ReplayRunStats, SynthesisScratch,
+    ftss_from_context, ftss_resume, AppModel, FtssConfig, PrefixCheckpoint, PrefixCursor,
+    SynthesisScratch,
 };
 use crate::par;
 use crate::tree::{QuasiStaticTree, ScheduleArena, ScheduleId, SwitchArc, TreeNode, TreeNodeId};
@@ -127,32 +111,6 @@ pub enum ExpansionPolicy {
     BestImprovement,
 }
 
-/// How the per-pivot FTSS runs of one parent expansion obtain their
-/// starting state — and, for [`ExpansionMode::Replay`], their scheduling
-/// decisions. All modes produce bit-identical trees; the flag exists for
-/// A/B measurement of the checkpointed and decision-replay pipelines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum ExpansionMode {
-    /// Snapshot the parent's committed context once per expansion and
-    /// restore it per pivot (advancing a cursor by one entry), instead of
-    /// re-deriving the context from scratch for every sub-schedule.
-    #[default]
-    Incremental,
-    /// Re-run the full FTSS initialization per pivot — the historical
-    /// behavior, kept as the A/B baseline.
-    Rerun,
-    /// [`ExpansionMode::Incremental`] context sharing plus *decision
-    /// replay*: every run records its scheduling decisions as a
-    /// `DecisionLog`, and each pivot run replays the parent's logged
-    /// decisions — skipping the dominant `DetermineDropping` search —
-    /// for every commit step whose guard conditions (structural lockstep
-    /// plus the flat-cell avg-clock window) prove the logged drops exact,
-    /// falling back to full per-step search from the first divergent
-    /// step. See the decision-replay notes in [`crate::ftss`].
-    Replay,
-}
-
 /// Checkpoint/restore accounting of one FTQS synthesis, reported in
 /// [`crate::TreeStats`].
 ///
@@ -162,23 +120,11 @@ pub enum ExpansionMode {
 /// perform a bounded amount of extra cursor catch-up (each worker chunk
 /// and each new wave re-advances its private cursor to its first pivot)
 /// that is deliberately *not* charged here: the counters compare
-/// algorithmic schedules, not thread-level work. All counters are zero
-/// under [`ExpansionMode::Rerun`] except `prefix_steps_rerun`.
-///
-/// The replay counters (nonzero only under [`ExpansionMode::Replay`])
-/// come in two granularities: per commit step
-/// (`steps_replayed`/`steps_searched`) and per suffix-utility estimate
-/// (`estimates_certified`/`estimates_semi_replayed`/
-/// `estimates_recomputed` — the order-stability machinery of
-/// [`crate::ftss`]'s *Certificates* notes). Both depend on which log each
-/// run replayed — workers chain logs across their own contiguous
-/// chunks — so their split may vary with the worker count; the step
-/// counters' *sum* (total pivot-run commit steps) and every synthesized
-/// tree do not.
+/// algorithmic schedules, not thread-level work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExpansionStats {
     /// Committed-prefix snapshots captured (one per expanded parent with
-    /// at least one pivot, under the incremental mode).
+    /// at least one pivot).
     pub snapshots: usize,
     /// Pivot FTSS runs whose starting state was restored from a snapshot.
     pub restores: usize,
@@ -187,59 +133,9 @@ pub struct ExpansionStats {
     /// idealized serial schedule (see the type docs).
     pub prefix_steps_saved: usize,
     /// Committed-prefix steps derived per pivot in that schedule: the
-    /// one-entry cursor advance under the incremental mode, the full
-    /// per-pivot context re-derivation under the rerun mode.
+    /// one-entry cursor advance.
     pub prefix_steps_rerun: usize,
-    /// FTSS commit steps whose `DetermineDropping`/`ForcedDropping`
-    /// estimates were *all* served from a decision log under proven
-    /// guards — summed over every pivot run of every expansion wave
-    /// (including candidate children later discarded as identical to the
-    /// parent's suffix, which is where full-log replays land). Steps
-    /// that needed no estimates at all (no ready soft candidate) count
-    /// as neither replayed nor searched. Nonzero only under
-    /// [`ExpansionMode::Replay`].
-    pub steps_replayed: usize,
-    /// FTSS commit steps of those same pivot runs that computed at least
-    /// one estimate honestly (guard miss, lockstep lost, or log
-    /// exhausted). Zero outside [`ExpansionMode::Replay`].
-    pub steps_searched: usize,
-    /// Suffix-utility estimates whose honest computation also captured a
-    /// fresh order-stability certificate (placement order + shift
-    /// window; see [`crate::ftss`]'s *Certificates* notes) — summed over
-    /// the root run and every pivot run. Zero outside
-    /// [`ExpansionMode::Replay`].
-    pub estimates_certified: usize,
-    /// Suffix-utility estimates reconstructed in O(m) from a certified
-    /// placement order instead of running the O(m²) cascade. Zero
-    /// outside [`ExpansionMode::Replay`].
-    pub estimates_semi_replayed: usize,
-    /// Suffix-utility estimates computed honestly (full cascade) by runs
-    /// with the replay machinery attached — guard and certificate misses
-    /// plus detached-cursor stretches. Zero outside
-    /// [`ExpansionMode::Replay`].
-    pub estimates_recomputed: usize,
 }
-
-impl ExpansionStats {
-    /// Folds one FTSS run's replay accounting into the tree totals.
-    fn absorb(&mut self, r: &ReplayRunStats) {
-        self.steps_replayed += r.steps_replayed;
-        self.steps_searched += r.steps_searched;
-        self.estimates_certified += r.estimates_certified;
-        self.estimates_semi_replayed += r.estimates_semi_replayed;
-        self.estimates_recomputed += r.estimates_recomputed;
-    }
-}
-
-/// How many chained-neighbor hops a freshly captured certificate is
-/// sized to survive: pivot `p`'s log is replayed by pivots
-/// `p+1, p+2, …` of the same worker chunk, each hop shifting the clock
-/// by one entry's bcet-vs-aet gap, so the capture window spans the next
-/// `CERT_CHAIN_HORIZON` gaps. Wider windows amortize one certification
-/// over more semi-replays but loosen the early-edge bounds (more
-/// certification failures); this is the measured sweet spot on the
-/// fig9-style bench corpus.
-const CERT_CHAIN_HORIZON: usize = 8;
 
 /// Configuration of the FTQS tree synthesis.
 #[derive(Debug, Clone, PartialEq)]
@@ -248,8 +144,6 @@ pub struct FtqsConfig {
     pub max_schedules: usize,
     /// Parent-selection policy for tree expansion.
     pub policy: ExpansionPolicy,
-    /// How per-pivot sub-schedule runs obtain their starting state.
-    pub mode: ExpansionMode,
     /// Maximum number of completion-time samples per arc during interval
     /// partitioning. The sweep step is `max(1, range / samples)` ms; 256
     /// keeps synthesis fast with millisecond-level accuracy on the paper's
@@ -269,7 +163,6 @@ impl Default for FtqsConfig {
         FtqsConfig {
             max_schedules: 16,
             policy: ExpansionPolicy::MostSimilar,
-            mode: ExpansionMode::default(),
             interval_samples: 256,
             estimator: UtilityEstimator::default(),
             ftss: FtssConfig::default(),
@@ -320,41 +213,8 @@ pub(crate) fn ftqs_prepared(
     if config.max_schedules == 0 {
         return Err(SchedulingError::ZeroTreeBudget);
     }
-    let replay = config.mode == ExpansionMode::Replay;
     let root_ctx = ScheduleContext::root(app);
-    let mut root_log = None;
-    let mut root_replay = ReplayRunStats::default();
-    let root_schedule = if replay {
-        // The root run is captured so the first expansion wave can replay
-        // its decisions across the root's pivots. Its certification
-        // window must cover pivot 0's shift — one entry's bcet-vs-aet
-        // gap — but the entry order is unknown before the run, so the
-        // worst single-entry gap bounds it.
-        let max_gap = app
-            .processes()
-            .map(|p| {
-                let t = app.process(p).times();
-                t.aet().as_ms() as i64 - t.bcet().as_ms() as i64
-            })
-            .max()
-            .unwrap_or(0);
-        let mut log = DecisionLog::default();
-        scratch.prefix_init(model, &root_ctx);
-        let (result, stats) = ftss_resume_replay(
-            model,
-            &root_ctx,
-            &config.ftss,
-            scratch,
-            None,
-            Some(&mut log),
-            Some((compiled, -max_gap)),
-        );
-        root_replay = stats;
-        root_log = Some(std::sync::Arc::new(log));
-        result?
-    } else {
-        ftss_from_context(model, &root_ctx, &config.ftss, scratch)?
-    };
+    let root_schedule = ftss_from_context(model, &root_ctx, &config.ftss, scratch)?;
     if root_schedule.entries().is_empty() {
         // Every process was statically dropped (or pre-completed): there is
         // no pivot to expand and no schedule to execute — a degenerate
@@ -373,9 +233,7 @@ pub(crate) fn ftqs_prepared(
         ));
     }
     let mut builder = TreeBuilder::new(app, config, model, compiled, scratch);
-    builder.stats.absorb(&root_replay);
     builder.push_root(root_schedule);
-    builder.nodes[0].log = root_log;
     builder.grow();
     builder.partition_intervals();
     let stats = builder.stats;
@@ -401,10 +259,6 @@ struct BuildNode {
     parent_distance: usize,
     /// Switch intervals assigned by interval partitioning (one arc each).
     intervals: Vec<(Time, Time)>,
-    /// This node's recorded decision sequence ([`ExpansionMode::Replay`]
-    /// only): shared read-only with every worker replaying it when this
-    /// node is expanded.
-    log: Option<std::sync::Arc<DecisionLog>>,
 }
 
 /// A candidate child computed by a (possibly parallel) expansion worker,
@@ -413,44 +267,15 @@ struct PendingChild {
     schedule: FSchedule,
     analysis: ScheduleAnalysis,
     parent_distance: usize,
-    /// The child run's own decision log (replay mode only), kept for the
-    /// child's future expansion.
-    log: Option<std::sync::Arc<DecisionLog>>,
-}
-
-/// A computed pivot slot of one expansion wave: the candidate child (if
-/// any survived) plus the run's replay accounting — kept even when the
-/// child is discarded, because full-log replays are exactly the runs that
-/// collapse onto the parent's suffix.
-struct PendingSlot {
-    child: Option<PendingChild>,
-    replay: ReplayRunStats,
 }
 
 /// Worker-private state of one incremental expansion wave: a cursor over
 /// the parent's pivots plus the scratch the per-pivot runs execute in.
 /// Never shared — each worker builds its own from the parent's base
 /// checkpoint, so no committed state leaks across workers or waves.
-///
-/// Under [`ExpansionMode::Replay`] the worker additionally chains decision
-/// logs across its contiguous ascending pivot chunk: the log captured by
-/// the pivot-`q` run becomes the preferred replay source for the next
-/// pivot of the same chunk — neighboring pivots make near-identical
-/// decisions (including revivals of statically dropped processes the
-/// parent's own log knows nothing about) and sit one entry's
-/// best-vs-average gap apart on the clock, so both lockstep and the guard
-/// windows hold far more often than against the parent's log, which
-/// remains the fallback at chunk starts.
 struct ExpansionWorker {
     cursor: PrefixCursor,
     scratch: SynthesisScratch,
-    /// Log of this worker's most recent *successful* pivot run, with its
-    /// pivot position (replay mode only). Shared with the committed child
-    /// node when the run's candidate was kept.
-    prev_log: Option<(std::sync::Arc<DecisionLog>, usize)>,
-    /// Recycled log buffer for the next pivot run's capture (reclaimed
-    /// from sole-owner retired logs).
-    spare_log: DecisionLog,
 }
 
 struct TreeBuilder<'a, 's> {
@@ -506,7 +331,6 @@ impl<'a, 's> TreeBuilder<'a, 's> {
             expanded: false,
             parent_distance: 0,
             intervals: Vec::new(),
-            log: None,
         });
     }
 
@@ -567,10 +391,9 @@ impl<'a, 's> TreeBuilder<'a, 's> {
     /// cutoff bit-for-bit (a wave may compute a few children the budget
     /// then discards — wasted work, never different output).
     ///
-    /// Under [`ExpansionMode::Incremental`] the parent's committed context
-    /// is derived once, captured as a checkpoint, and restored per pivot
-    /// (each worker advancing a private cursor); under
-    /// [`ExpansionMode::Rerun`] every pivot re-derives it from scratch.
+    /// The parent's committed context is derived once, captured as a
+    /// checkpoint, and restored per pivot (each worker advancing a private
+    /// cursor).
     fn expand(&mut self, parent: TreeNodeId) {
         self.nodes[parent].expanded = true;
         let parent_sched = self.sched(&self.nodes[parent]);
@@ -589,17 +412,6 @@ impl<'a, 's> TreeBuilder<'a, 's> {
         if positions == 0 {
             return;
         }
-        // Replay shares the parent context exactly like the incremental
-        // mode and additionally replays the parent's decision log.
-        let incremental = matches!(
-            self.config.mode,
-            ExpansionMode::Incremental | ExpansionMode::Replay
-        );
-        let parent_log = if self.config.mode == ExpansionMode::Replay {
-            self.nodes[parent].log.clone()
-        } else {
-            None
-        };
         // Best-case pivot completions, shared by every pivot of this
         // parent: bcet_at[p] = start + Σ bcet(entries[0..=p]).
         let mut bcet_at = Vec::with_capacity(positions);
@@ -608,104 +420,52 @@ impl<'a, 's> TreeBuilder<'a, 's> {
             bcet_sum += self.app.process(e.process).times().bcet();
             bcet_at.push(bcet_sum);
         }
-        // Certification windows for the pivot runs' captured estimates
-        // (replay mode only): pivot `p`'s log is replayed by the chunk's
-        // following pivots, each hop shifting the avg clock by one
-        // entry's bcet-vs-aet gap, so a certificate captured at `p` with
-        // window `[Σ of the next CERT_CHAIN_HORIZON gaps, 0]` amortizes
-        // across that whole chain of neighbors.
-        let cert_lo_at: Vec<i64> = if parent_log.is_some() {
-            let gap: Vec<i64> = parent_entries[..positions]
-                .iter()
-                .map(|e| {
-                    let t = self.app.process(e.process).times();
-                    t.bcet().as_ms() as i64 - t.aet().as_ms() as i64
-                })
-                .collect();
-            (0..positions)
-                .map(|p| {
-                    let end = (p + 1 + CERT_CHAIN_HORIZON).min(positions);
-                    gap[(p + 1).min(end)..end].iter().sum()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         // One snapshot per expanded parent: the committed context every
         // pivot of this expansion shares.
         let mut base = PrefixCheckpoint::default();
         let parent_completed = parent_ctx.completed.iter().filter(|&&c| c).count();
-        if incremental {
-            self.scratch.prefix_init(self.model, &parent_ctx);
-            self.scratch.checkpoint(&mut base);
-            self.stats.snapshots += 1;
-        }
+        self.scratch.prefix_init(self.model, &parent_ctx);
+        self.scratch.checkpoint(&mut base);
+        self.stats.snapshots += 1;
 
         let mut next_pos = 0usize;
         while next_pos < positions && self.nodes.len() < self.config.max_schedules {
             let remaining_budget = self.config.max_schedules - self.nodes.len();
             let wave_end = (next_pos + remaining_budget).min(positions);
             let wave_base = next_pos;
-            let slots = if incremental {
-                let this = &*self;
-                let base = &base;
-                let parent_log = parent_log.as_deref();
-                let cert_lo_at = &cert_lo_at;
-                par::par_map_collect_with(
-                    wave_end - wave_base,
-                    || ExpansionWorker {
-                        cursor: PrefixCursor::new(base),
-                        scratch: SynthesisScratch::new(),
-                        prev_log: None,
-                        spare_log: DecisionLog::default(),
-                    },
-                    |worker, i| {
-                        let p = wave_base + i;
-                        this.build_child_incremental(
-                            &parent_entries,
-                            &parent_ctx,
-                            &bcet_at,
-                            worker,
-                            p,
-                            parent_log,
-                            cert_lo_at.get(p).copied().unwrap_or(0),
-                        )
-                    },
-                )
-            } else {
-                par::par_map_collect_with(wave_end - wave_base, SynthesisScratch::new, |scr, i| {
-                    self.build_child_rerun(
+            let this = &*self;
+            let base = &base;
+            let children = par::par_map_collect_with(
+                wave_end - wave_base,
+                || ExpansionWorker {
+                    cursor: PrefixCursor::new(base),
+                    scratch: SynthesisScratch::new(),
+                },
+                |worker, i| {
+                    this.build_child(
                         &parent_entries,
                         &parent_ctx,
                         &bcet_at,
-                        scr,
+                        worker,
                         wave_base + i,
                     )
-                })
-            };
+                },
+            );
             // Checkpoint accounting, computed on the (deterministic) wave
             // schedule: a from-scratch derivation of pivot p's context
             // marks `parent_completed + p + 1` processes completed; the
-            // incremental path recovers all but the cursor's one-entry
-            // advance from the snapshot. Replay accounting sums every
-            // pivot run the wave computed — the wave extent is decided
-            // before dispatch, so the counters stay worker-count
-            // invariant.
-            for (pivot, slot) in (wave_base..wave_end).zip(&slots) {
-                if incremental {
-                    self.stats.restores += 1;
-                    self.stats.prefix_steps_saved += parent_completed + pivot;
-                    self.stats.prefix_steps_rerun += 1;
-                } else {
-                    self.stats.prefix_steps_rerun += parent_completed + pivot + 1;
-                }
-                self.stats.absorb(&slot.replay);
+            // cursor recovers all but its one-entry advance from the
+            // snapshot.
+            for pivot in wave_base..wave_end {
+                self.stats.restores += 1;
+                self.stats.prefix_steps_saved += parent_completed + pivot;
+                self.stats.prefix_steps_rerun += 1;
             }
-            for (offset, slot) in slots.into_iter().enumerate() {
+            for (offset, child) in children.into_iter().enumerate() {
                 if self.nodes.len() >= self.config.max_schedules {
                     break;
                 }
-                if let Some(pending) = slot.child {
+                if let Some(pending) = child {
                     self.commit_child(pending, parent, parent_depth, wave_base + offset);
                 }
             }
@@ -731,7 +491,6 @@ impl<'a, 's> TreeBuilder<'a, 's> {
             expanded: false,
             parent_distance: pending.parent_distance,
             intervals: Vec::new(),
-            log: pending.log,
         });
     }
 
@@ -763,117 +522,31 @@ impl<'a, 's> TreeBuilder<'a, 's> {
 
     /// Builds the candidate child for pivot position `p` of `parent` by
     /// restoring the worker's private checkpoint and advancing its cursor
-    /// one entry; the slot's child is `None` when the suffix is infeasible
-    /// from the optimistic start or the child collapses onto the parent's
-    /// own suffix. Pure with respect to the node list — safe to run for
-    /// several positions concurrently (workers receive contiguous
-    /// ascending pivot chunks; see [`crate::par`]).
-    ///
-    /// With `parent_log` present ([`ExpansionMode::Replay`]), the run
-    /// replays the parent's decisions under the per-step guards and
-    /// records its own log for the child's future expansion; the replay
-    /// cursor lives inside this single run, so workers never share replay
-    /// state (the log itself is read-only). `cert_lo` is the
-    /// certification window floor for the estimates this run captures
-    /// (see the `cert_lo_at` notes in [`Self::expand`]).
-    #[allow(clippy::too_many_arguments)]
-    fn build_child_incremental(
+    /// one entry; `None` when the suffix is infeasible from the optimistic
+    /// start or the child collapses onto the parent's own suffix. Pure with
+    /// respect to the node list — safe to run for several positions
+    /// concurrently (workers receive contiguous ascending pivot chunks; see
+    /// [`crate::par`]).
+    fn build_child(
         &self,
         parent_entries: &[crate::fschedule::ScheduleEntry],
         parent_ctx: &ScheduleContext,
         bcet_at: &[Time],
         worker: &mut ExpansionWorker,
         p: usize,
-        parent_log: Option<&DecisionLog>,
-        cert_lo: i64,
-    ) -> PendingSlot {
+    ) -> Option<PendingChild> {
         worker.cursor.advance_to(self.model, parent_entries, p);
         let ctx = self.child_context(parent_entries, parent_ctx, bcet_at, p);
         worker.scratch.restore(worker.cursor.checkpoint());
         worker.scratch.begin_run_at(ctx.start);
-        if let Some(parent_log) = parent_log {
-            let ExpansionWorker {
-                scratch,
-                prev_log,
-                spare_log,
-                ..
-            } = worker;
-            // Prefer the chained neighbor log (see [`ExpansionWorker`]);
-            // the replay source never affects output, only how much search
-            // the guards can prove away.
-            let source: (&DecisionLog, usize) = match prev_log {
-                Some((log, q)) if *q < p => (log, p - *q),
-                _ => (parent_log, p + 1),
-            };
-            let mut own_log = std::mem::take(spare_log);
-            own_log.clear();
-            own_log.reserve_like(source.0);
-            let (result, replay) = ftss_resume_replay(
-                self.model,
-                &ctx,
-                &self.config.ftss,
-                scratch,
-                Some(source),
-                Some(&mut own_log),
-                Some((self.compiled, cert_lo)),
-            );
-            // Suffix infeasible from this optimistic start: skip.
-            let child = match result {
-                Ok(child) => {
-                    let own_log = std::sync::Arc::new(own_log);
-                    let kept = self.accept_child(parent_entries, p, child).map(|mut c| {
-                        c.log = Some(own_log.clone());
-                        c
-                    });
-                    if let Some((old, _)) = prev_log.replace((own_log, p)) {
-                        // Reclaim the retired log's buffers when this
-                        // worker was its only holder.
-                        if let Some(old) = std::sync::Arc::into_inner(old) {
-                            *spare_log = old;
-                        }
-                    }
-                    kept
-                }
-                Err(_) => {
-                    *spare_log = own_log;
-                    None
-                }
-            };
-            return PendingSlot { child, replay };
-        }
-        let child = ftss_resume(self.model, &ctx, &self.config.ftss, &mut worker.scratch)
+        ftss_resume(self.model, &ctx, &self.config.ftss, &mut worker.scratch)
             .ok()
-            .and_then(|child| self.accept_child(parent_entries, p, child));
-        PendingSlot {
-            child,
-            replay: ReplayRunStats::default(),
-        }
+            .and_then(|child| self.accept_child(parent_entries, p, child))
     }
 
-    /// The from-scratch sibling of [`Self::build_child_incremental`]
-    /// ([`ExpansionMode::Rerun`]): every pivot re-derives its prefix state
-    /// and model tables through a plain `ftss_with` call.
-    fn build_child_rerun(
-        &self,
-        parent_entries: &[crate::fschedule::ScheduleEntry],
-        parent_ctx: &ScheduleContext,
-        bcet_at: &[Time],
-        scratch: &mut SynthesisScratch,
-        p: usize,
-    ) -> PendingSlot {
-        let ctx = self.child_context(parent_entries, parent_ctx, bcet_at, p);
-        let child = ftss_with(self.app, &ctx, &self.config.ftss, scratch)
-            .ok()
-            .and_then(|child| self.accept_child(parent_entries, p, child));
-        PendingSlot {
-            child,
-            replay: ReplayRunStats::default(),
-        }
-    }
-
-    /// Shared tail of both child builders: discard children identical to
-    /// the parent's own suffix (a switch to them would be a no-op),
-    /// compute the similarity distance, and analyze.
+    /// Discards children identical to the parent's own suffix (a switch
+    /// to them would be a no-op), then computes the similarity distance
+    /// and analyzes the rest.
     fn accept_child(
         &self,
         parent_entries: &[crate::fschedule::ScheduleEntry],
@@ -894,7 +567,6 @@ impl<'a, 's> TreeBuilder<'a, 's> {
             schedule: child,
             analysis,
             parent_distance: distance,
-            log: None,
         })
     }
 
@@ -1112,6 +784,7 @@ fn suffix_distance(reference: &[NodeId], other: &[NodeId]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ftss::ftss_with;
     use crate::{ExecutionTimes, FaultModel, UtilityFunction};
 
     /// One-shot FTQS over a fresh scratch (test convenience; production
@@ -1307,115 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn rerun_mode_produces_identical_trees() {
-        let (app, _) = fig1_app();
-        for m in 2..=8 {
-            let incremental = ftqs(&app, &FtqsConfig::with_budget(m)).unwrap();
-            let rerun = ftqs(
-                &app,
-                &FtqsConfig {
-                    mode: ExpansionMode::Rerun,
-                    ..FtqsConfig::with_budget(m)
-                },
-            )
-            .unwrap();
-            assert_eq!(incremental.len(), rerun.len(), "budget {m}");
-            for ((i, a), (_, b)) in incremental.iter().zip(rerun.iter()) {
-                assert_eq!(
-                    incremental.schedule(a.schedule),
-                    rerun.schedule(b.schedule),
-                    "budget {m} node {i}"
-                );
-                assert_eq!(a.arcs, b.arcs, "budget {m} node {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn replay_mode_produces_identical_trees_and_reports_replay_activity() {
-        let (app, _) = fig1_app();
-        for m in 2..=8 {
-            let incremental = ftqs(&app, &FtqsConfig::with_budget(m)).unwrap();
-            let mut scratch = SynthesisScratch::new();
-            let (replay, stats) = ftqs_with(
-                &app,
-                &FtqsConfig {
-                    mode: ExpansionMode::Replay,
-                    ..FtqsConfig::with_budget(m)
-                },
-                &mut scratch,
-            )
-            .unwrap();
-            assert_eq!(incremental.len(), replay.len(), "budget {m}");
-            for ((i, a), (_, b)) in incremental.iter().zip(replay.iter()) {
-                assert_eq!(
-                    incremental.schedule(a.schedule),
-                    replay.schedule(b.schedule),
-                    "budget {m} node {i}"
-                );
-                assert_eq!(a.arcs, b.arcs, "budget {m} node {i}");
-            }
-            if replay.len() > 1 {
-                assert!(
-                    stats.steps_replayed + stats.steps_searched > 0,
-                    "budget {m}: replay mode must account its pivot-run steps"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn replay_mode_falls_back_on_revived_drops_and_still_matches() {
-        // The revival workload of `children_can_revive_statically_dropped_
-        // processes`: children genuinely diverge from the parent's logged
-        // decisions (the drop verdict flips at the pivot's best-case
-        // completion), so replay must fall back to search — and still
-        // produce the identical tree.
-        let mut b = Application::builder(t(400), FaultModel::new(1, t(5)));
-        let head = b.add_soft(
-            "head",
-            et(20, 120),
-            UtilityFunction::constant(50.0).unwrap(),
-        );
-        let fragile = b.add_soft(
-            "fragile",
-            et(10, 20),
-            UtilityFunction::step(60.0, [(t(70), 0.0)]).unwrap(),
-        );
-        b.add_dependency(head, fragile).unwrap();
-        let app = b.build().unwrap();
-
-        let incremental = ftqs(&app, &FtqsConfig::with_budget(4)).unwrap();
-        let mut scratch = SynthesisScratch::new();
-        let (replay, stats) = ftqs_with(
-            &app,
-            &FtqsConfig {
-                mode: ExpansionMode::Replay,
-                ..FtqsConfig::with_budget(4)
-            },
-            &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(incremental.len(), replay.len());
-        for ((_, a), (_, b)) in incremental.iter().zip(replay.iter()) {
-            assert_eq!(
-                incremental.schedule(a.schedule),
-                replay.schedule(b.schedule)
-            );
-            assert_eq!(a.arcs, b.arcs);
-        }
-        assert!(
-            stats.steps_searched > 0,
-            "revival must force searched steps"
-        );
-        // The revived child exists and replay found it through fallback.
-        let child = replay
-            .switch_target(replay.root(), 0, t(20))
-            .expect("early completion of head must switch");
-        assert!(replay.node_schedule(child).order_key().contains(&fragile));
-    }
-
-    #[test]
     fn expansion_stats_count_snapshots_and_restores() {
         let (app, _) = fig1_app();
         let mut scratch = SynthesisScratch::new();
@@ -1428,22 +992,8 @@ mod tests {
         );
         assert_eq!(
             stats.restores, stats.prefix_steps_rerun,
-            "incremental mode replays exactly one step per restore"
+            "each restore re-derives exactly one prefix step"
         );
-
-        let (_, rerun_stats) = ftqs_with(
-            &app,
-            &FtqsConfig {
-                mode: ExpansionMode::Rerun,
-                ..FtqsConfig::with_budget(4)
-            },
-            &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(rerun_stats.snapshots, 0);
-        assert_eq!(rerun_stats.restores, 0);
-        assert_eq!(rerun_stats.prefix_steps_saved, 0);
-        assert!(rerun_stats.prefix_steps_rerun >= stats.prefix_steps_rerun);
     }
 
     #[test]

@@ -59,81 +59,6 @@
 //! each own a private `PrefixCursor` copy, so checkpoints never leak
 //! across waves.
 //!
-//! # Decision replay
-//!
-//! On top of the shared *context*, neighboring pivot runs can share their
-//! scheduling *decisions* ([`crate::ftqs::ExpansionMode::Replay`]): the
-//! quasi-static tree expands one parent into children whose sub-schedules
-//! differ only after the pivot point, so consecutive pivot runs re-derive
-//! long identical decision prefixes. The machinery:
-//!
-//! * **Log** — every run can record a `DecisionLog`: per commit step, the
-//!   resolutions it performed (drops in decision order, then the commit)
-//!   and every `Si′`/`Si″` suffix-utility estimate its dropping phases
-//!   computed, each with a *guard window* over average-clock shifts.
-//! * **Guards** — an estimate is a pure function of (structural state,
-//!   hypothetical extra drop, `avg_clock`). The window is the
-//!   intersection of the flat-cell constraints of every utility value the
-//!   computation read ([`crate::UtilityFunction::flat_cell`]): inside it,
-//!   a shifted re-evaluation reads the bit-identical f64s, so the whole
-//!   cascade — internal MU-argmax placements included — reproduces and
-//!   the logged value IS the honest value. No floating-point error
-//!   analysis is involved; the proof is "same inputs, same operations".
-//! * **Lockstep** — a replaying run tracks whether its resolution history
-//!   (pivot prefix entries as commits, own drops/commits kind-for-kind)
-//!   is a step-aligned prefix of the log's (`ReplayCursor`). In lockstep,
-//!   `resolved`/`ready`/`dropped` masks, predecessor counts and stale
-//!   coefficients all equal the logged run's state — they are pure
-//!   functions of that history — so only clocks and the slack accumulator
-//!   may differ, which is exactly what the guard windows and the honest
-//!   feasibility recomputation cover.
-//! * **Certificates** — flat-cell windows almost never cover the *large*
-//!   `Si′`/`Si″` estimates (some read always lands on a descending
-//!   segment), so those additionally carry an *order-stability
-//!   certificate*: the avg-clock shift window within which the estimate's
-//!   internal MU-argmax *placement order* provably survives, plus that
-//!   placement order itself. The bound argument: TUFs are validated
-//!   non-increasing, avg-clock shifts toward a pivot are non-positive
-//!   (BCET ≤ AET), and every f64 op combining utility reads into an MU
-//!   score — `× α` with `α ≥ 0`, `÷ denom` with `denom ≥ 1`, the
-//!   left-to-right sum, `× w` with `w ≥ 0` — is monotone under IEEE-754
-//!   round-to-nearest (rounding a larger real never lands below rounding
-//!   a smaller one). So over a window `[lo, 0]` a candidate's score is
-//!   minimized at shift `0` (the capture run's own score, free) and
-//!   maximized at shift `lo`, where replacing each read by its early-edge
-//!   value `u(max(0, t + lo))` — one [`crate::CompiledUtility`] table
-//!   lookup, no fresh walk — dominates it. If in every argmax round each
-//!   loser's early-edge bound stays strictly below the winner's own
-//!   score, the winner wins at *every* shift in the window and the whole
-//!   placement order is invariant. A replaying run inside the window then
-//!   *semi-replays* the estimate in O(m): it walks the logged placement
-//!   order once, accumulating `α · u(t)` at its own shifted clocks — the
-//!   exact additions the honest O(m²) cascade would perform, in the same
-//!   order, so the result IS the honest value bit-for-bit even though it
-//!   differs from the logged one. Certification is lazy (only estimates
-//!   with at least `CERT_MIN_PENDING` pending softs pay the extra bound
-//!   evaluation per loser) and amortized: carried estimates re-base their
-//!   certificate by the run's shift, so one certification serves a whole
-//!   chain of neighboring pivot runs.
-//! * **Fallback** — a guard miss merely recomputes that one estimate
-//!   (alignment survives if the value matches the log bit-for-bit, or if
-//!   a certificate proved the semi-replayed value honest); a
-//!   genuinely divergent decision detaches the cursor and the run falls
-//!   back to full per-step search, re-attaching when the histories line
-//!   up again (e.g. after a pivot run re-derives the parent's early
-//!   drops). Everything outside the dropping phases — schedulability
-//!   probes, forced dropping, MU selection, re-execution allowances — is
-//!   always recomputed honestly against the run's own state, so replayed
-//!   runs are bit-identical to full searches *by construction*, which the
-//!   equivalence suite pins against [`crate::oracle::ftqs_reference`].
-//!
-//! FTQS chains logs across neighboring pivots (each expansion worker
-//! replays pivot `p` against the log captured at pivot `p − 1`, falling
-//! back to the parent's own log at chunk starts) because neighbors make
-//! near-identical decisions — including revivals of statically dropped
-//! processes the parent's log knows nothing about — and sit only one
-//! entry's best-vs-average gap apart on the clock.
-//!
 //! # Performance
 //!
 //! FTSS is the synthesis inner loop — FTQS re-runs it once per tree-node
@@ -174,9 +99,7 @@
 //! [`crate::oracle::ftss_reference`]; equivalence tests pin this optimized
 //! scheduler to bit-identical output (`tests/equivalence.rs`).
 
-use crate::fschedule::{
-    CompiledUtilities, FSchedule, ScheduleContext, ScheduleEntry, StaleAlpha, SweepScratch,
-};
+use crate::fschedule::{FSchedule, ScheduleContext, ScheduleEntry, StaleAlpha, SweepScratch};
 use crate::wcdelay::{worst_case_fault_delay, FaultDelayAccumulator, SlackItem};
 use crate::{Application, SchedulingError, Time, UtilityFunction};
 use ftqs_graph::NodeId;
@@ -390,11 +313,6 @@ pub(crate) struct CommittedPrefix {
     /// read this one table instead of re-querying the accumulator.
     committed_delay: Vec<Time>,
     committed_delay_valid: bool,
-    /// Number of unresolved soft processes — the size every `Si′`
-    /// estimate's pending set would have. Maintained on resolution so the
-    /// capture path's is-it-worth-certifying test is O(1) instead of an
-    /// O(softs) scan per estimate call.
-    soft_pending: usize,
 }
 
 impl CommittedPrefix {
@@ -435,11 +353,6 @@ impl CommittedPrefix {
                 self.alpha.mark_dropped(NodeId::from_index(i));
             }
         }
-        self.soft_pending = model
-            .softs
-            .iter()
-            .filter(|s| !self.resolved[s.index()])
-            .count();
         self.entries.clear();
         self.new_drops.clear();
         self.avg_clock = ctx.start;
@@ -482,7 +395,6 @@ impl CommittedPrefix {
         self.hard_cache_valid = other.hard_cache_valid;
         cv(&mut self.committed_delay, &other.committed_delay);
         self.committed_delay_valid = other.committed_delay_valid;
-        self.soft_pending = other.soft_pending;
     }
 
     /// Resolves `n` (scheduled, dropped, or — on the expansion cursor —
@@ -494,8 +406,6 @@ impl CommittedPrefix {
             self.edf_cache_valid = false;
             self.soft_slack_valid = false;
             self.hard_cache_valid = false;
-        } else {
-            self.soft_pending -= 1;
         }
         self.resolved[n.index()] = true;
         self.ready[n.index()] = false;
@@ -561,36 +471,6 @@ pub(crate) struct ProbeScratch {
     alpha: StaleAlpha,
     /// Per-budget delay buffer for batched accumulator queries.
     delay_buf: Vec<Time>,
-    /// Resolutions of the current commit step, in decision order — the
-    /// decision-replay machinery compares them against the log step and
-    /// appends them to the captured log.
-    step_res: Vec<LogResolution>,
-    /// Placement order of the current estimate's certification pass
-    /// (valid only when `cert_ok` survives the cascade).
-    cert_placed: Vec<NodeId>,
-    /// Whether every argmax round of the current estimate's certification
-    /// pass kept its losers strictly below the winner at the window edge.
-    cert_ok: bool,
-    /// Per-candidate scores of the current certification round, by ready
-    /// position (the survival check revisits losers after the winner is
-    /// known).
-    round_scores: Vec<f64>,
-    /// Per-process constant slack of the run's certification window:
-    /// `rise_own[s] = max_rise(s) / denom(s)` and `rise_succ[s] = Σ over
-    /// soft successors j of max_rise(j) / denom(j)` — `score + α ·
-    /// rise_own + w · rise_succ`, inflated by [`CERT_SLACK_MARGIN`],
-    /// dominates the exact early-edge bound, so most losers never pay a
-    /// per-read bound evaluation. Cached across the runs of one
-    /// expansion wave; see `Scheduler::prepare_cert_slack` for why reuse
-    /// at a less negative shift stays sound.
-    rise_own: Vec<f64>,
-    rise_succ: Vec<f64>,
-    /// Shift `rise_own`/`rise_succ` were computed at; `0` (the default)
-    /// means "no tables" since certification requires a strictly
-    /// negative shift. Deliberately NOT reset by `prepare` — the cache
-    /// spans a wave of runs; [`SynthesisScratch::prefix_init`] re-keys
-    /// it whenever the session scratch moves to a (possibly) new model.
-    rise_lo: i64,
 }
 
 impl ProbeScratch {
@@ -608,10 +488,6 @@ impl ProbeScratch {
         self.ready_soft.clear();
         self.alpha.reset(n);
         self.delay_buf.clear();
-        self.step_res.clear();
-        self.cert_placed.clear();
-        self.cert_ok = false;
-        self.round_scores.clear();
     }
 
     /// Opens a fresh mark generation (O(1) except after `u32` wrap-around).
@@ -657,11 +533,6 @@ impl SynthesisScratch {
     /// captures).
     pub(crate) fn prefix_init(&mut self, model: &AppModel, ctx: &ScheduleContext) {
         self.prefix.init(model, ctx);
-        // The certification slack tables are model-keyed; a session
-        // scratch can be pointed at a different application between
-        // synthesis calls, so drop them here (worker scratches are
-        // rebuilt per wave and never cross models).
-        self.probe.rise_lo = 0;
     }
 
     /// Deep-copies the committed-prefix state into `into`, reusing its
@@ -746,241 +617,6 @@ impl PrefixCursor {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Decision replay (see the module docs' *Decision replay* section)
-// ---------------------------------------------------------------------------
-
-/// One resolved process of a logged run: committed into the schedule, or
-/// statically dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LogResolution {
-    pub(crate) process: NodeId,
-    pub(crate) dropped: bool,
-}
-
-/// One commit step of a logged run: which resolutions it performed and
-/// which suffix-utility estimates its dropping phases evaluated (see
-/// [`DecisionLog`]).
-#[derive(Debug, Clone, Copy)]
-struct LogStep {
-    /// First index of this step's resolutions in
-    /// [`DecisionLog::resolutions`] (steps partition that list).
-    res_start: u32,
-    /// Number of resolutions this step performed (drops in decision
-    /// order, then at most one final commit).
-    res_len: u32,
-    /// First index of this step's estimates in
-    /// [`DecisionLog::estimates`] (steps partition that list too).
-    est_start: u32,
-    /// Number of estimate calls the step's dropping phases made.
-    est_len: u32,
-    /// `avg_clock` at the step's start in the logged run.
-    avg_clock: Time,
-}
-
-/// One `Si′`/`Si″` suffix-utility estimate of a logged run: its result
-/// plus the guard window within which a replaying run may reuse that
-/// result verbatim.
-///
-/// An estimate is a pure function of (structural state, hypothetical
-/// extra drop, `avg_clock`): the window `[delta_lo, delta_hi]` is the
-/// intersection of the flat-cell constraints of every utility value the
-/// computation read ([`crate::UtilityFunction::flat_cell`]), so for a run
-/// in structural lockstep whose avg-clock shift lies inside the window,
-/// every one of those reads returns the bit-identical f64 — the whole
-/// cascade (internal MU argmax placements included) reproduces, and the
-/// logged value IS the value the honest computation would produce.
-#[derive(Debug, Clone, Copy)]
-struct LogEstimate {
-    /// The estimate's result.
-    value: f64,
-    /// The hypothetically dropped candidate (`u32::MAX` for the `Si′`
-    /// "nothing extra dropped" estimate); reuse requires an exact match.
-    extra_drop: u32,
-    /// Valid avg-clock shift window (ms, inclusive; empty when lo > hi —
-    /// some read crossed a breakpoint or sat on a descending segment).
-    /// Inside it the logged `value` is reused verbatim.
-    delta_lo: i64,
-    delta_hi: i64,
-    /// Index of this estimate's order-stability certificate in
-    /// [`DecisionLog::certs`] (`u32::MAX` when uncertified).
-    cert: u32,
-}
-
-/// An order-stability certificate of one logged estimate: within the
-/// avg-clock shift window `[lo, hi]` (ms, inclusive, relative to the
-/// certifying run's clock) every internal MU-argmax round's winner
-/// provably survives, so the whole placement order
-/// (`DecisionLog::placements[pl_start .. pl_start + pl_len]`) is
-/// invariant and a replaying run reconstructs the estimate in O(m) from
-/// it — bit-identical to its own honest cascade (see the module docs'
-/// *Certificates* bullet for the bound argument).
-#[derive(Debug, Clone, Copy)]
-struct LogCert {
-    lo: i64,
-    hi: i64,
-    pl_start: u32,
-    pl_len: u32,
-}
-
-/// Minimum pending-soft count before an honest estimate pays for the
-/// certification pass: below it the O(m²) cascade is cheap enough that
-/// the per-loser early-edge bound evaluations cost more than the
-/// semi-replays they enable.
-const CERT_MIN_PENDING: usize = 8;
-
-/// Relative inflation applied to the constant-slack cheap bound before it
-/// is compared against the winner's score. The cheap bound's claim —
-/// "this loser's exact early-edge bound cannot reach the winner" — chains
-/// O(m) IEEE ops over exclusively non-negative operands (validated
-/// utilities, `α`, `w ≥ 0`, `denom ≥ 1`), whose compounded relative error
-/// stays below `m · ε ≈ m · 2.2e-16`; inflating by `1e-9` therefore
-/// dominates the rounding of any cascade shorter than ~4 million ops
-/// while being far too small to cost certifications (score gaps on real
-/// TUFs are many orders of magnitude wider). Losers the inflated bound
-/// cannot clear fall back to the exact per-read bound, so certification
-/// success is unaffected by the filter.
-const CERT_SLACK_MARGIN: f64 = 1.0 + 1e-9;
-
-/// The recorded decision sequence of one committed FTSS run.
-///
-/// A log captures what the run decided — per commit step, the processes
-/// dropped and the process committed — plus every suffix-utility estimate
-/// its `DetermineDropping`/`ForcedDropping` phases computed, each with a
-/// per-estimate guard window ([`LogEstimate`]). FTQS expansion replays a
-/// log across neighboring pivot runs: while a pivot run is in structural
-/// lockstep with the log (same resolution history) and an estimate call
-/// matches the next logged one (same hypothetical drop, same mid-step
-/// drop prefix, shift inside the guard window), the estimate's O(s²)
-/// cascade is skipped and the logged value reused — bit-identical by the
-/// purity argument above. Verdict comparisons, feasibility probes, forced
-/// dropping, MU selection, and re-execution allowances always run
-/// honestly against the run's own state, so schedules come out
-/// bit-identical to a full search no matter how much was reused; a guard
-/// miss only costs the estimate being recomputed, and a genuine
-/// divergence detaches the cursor, falling back to full per-step search
-/// until the resolution histories line up again.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DecisionLog {
-    resolutions: Vec<LogResolution>,
-    steps: Vec<LogStep>,
-    estimates: Vec<LogEstimate>,
-    /// Order-stability certificates, referenced by [`LogEstimate::cert`].
-    certs: Vec<LogCert>,
-    /// Certified placement orders, referenced by [`LogCert`] ranges.
-    placements: Vec<NodeId>,
-}
-
-impl DecisionLog {
-    /// Drops all recorded decisions, keeping the buffers (workers recycle
-    /// log allocations across the pivot runs of a chunk).
-    pub(crate) fn clear(&mut self) {
-        self.resolutions.clear();
-        self.steps.clear();
-        self.estimates.clear();
-        self.certs.clear();
-        self.placements.clear();
-    }
-
-    /// Grows this (empty or cleared) log's buffers to hold roughly what
-    /// `other` holds. Accepted children keep an `Arc` to their log, so a
-    /// worker's spare-buffer recycling rarely fires and most runs would
-    /// otherwise regrow every vector through doubling reallocations; the
-    /// neighbor log about to be replayed predicts the sizes well, so one
-    /// up-front reservation (with headroom for drift) replaces the whole
-    /// realloc chain.
-    pub(crate) fn reserve_like(&mut self, other: &DecisionLog) {
-        fn grow<T>(v: &mut Vec<T>, n: usize) {
-            // 9/8 headroom: neighbor runs differ by a pivot, not by shape.
-            // `reserve` is a no-op when the recycled capacity already
-            // suffices (these logs are empty, so `additional` ≥ target).
-            v.reserve(n + n / 8);
-        }
-        grow(&mut self.resolutions, other.resolutions.len());
-        grow(&mut self.steps, other.steps.len());
-        grow(&mut self.estimates, other.estimates.len());
-        grow(&mut self.certs, other.certs.len());
-        grow(&mut self.placements, other.placements.len());
-    }
-
-    #[cfg(test)]
-    pub(crate) fn steps_len(&self) -> usize {
-        self.steps.len()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn certs_len(&self) -> usize {
-        self.certs.len()
-    }
-}
-
-/// Replay accounting of one FTSS run: how many commit steps skipped their
-/// `DetermineDropping` search by replaying logged decisions vs how many
-/// ran the full per-step search, plus the estimate-level accounting of
-/// the order-stability machinery (fresh certifications, O(m)
-/// semi-replays, and honest recomputations).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ReplayRunStats {
-    pub(crate) steps_replayed: usize,
-    pub(crate) steps_searched: usize,
-    /// Estimates whose honest computation also captured a fresh
-    /// order-stability certificate.
-    pub(crate) estimates_certified: usize,
-    /// Estimates reconstructed in O(m) from a certified placement order.
-    pub(crate) estimates_semi_replayed: usize,
-    /// Estimates computed honestly (full O(m²) cascade) while the replay
-    /// machinery was attached.
-    pub(crate) estimates_recomputed: usize,
-}
-
-/// A read cursor over a parent's [`DecisionLog`], tracking whether the
-/// current run is in *structural lockstep* with the logged run: the
-/// processes this run has resolved beyond the logged run's base context —
-/// the completed pivot prefix plus its own drops/commits — are exactly a
-/// step-aligned prefix of the logged resolutions, with matching kinds.
-/// In lockstep, `resolved`/`ready`/`dropped` masks, predecessor counts,
-/// and stale coefficients all equal the logged run's state at that step
-/// (they are pure functions of the resolution history), so the only
-/// inputs that may differ are the clocks and the slack accumulator — and
-/// those are exactly what the per-step guard window and the honest
-/// feasibility recomputation cover.
-///
-/// The cursor re-attaches opportunistically: a run that diverges (or
-/// starts divergent because the pivot prefix interleaves with logged
-/// drops) falls back to full per-step search, and re-enters lockstep as
-/// soon as its resolution set lines up with a step boundary again —
-/// which is what lets a pivot run that merely re-derives the parent's
-/// early drops resume replaying the rest of the schedule.
-#[derive(Debug)]
-pub(crate) struct ReplayCursor<'l> {
-    log: &'l DecisionLog,
-    /// Number of parent entries the run's context pre-completed (the
-    /// pivot prefix length).
-    prefix_len: usize,
-    /// Index of the next log step while synced.
-    step_pos: usize,
-    synced: bool,
-    /// Length of the log's resolution prefix already verified to match
-    /// this run's resolution set. The run's `resolved`/`dropped` masks
-    /// only ever grow, and a resolution's kind is fixed once resolved, so
-    /// a verified position can never un-verify — re-attachment attempts
-    /// resume here instead of re-walking the whole prefix, making sync
-    /// O(resolutions) amortized per run instead of per step.
-    checked: usize,
-}
-
-impl<'l> ReplayCursor<'l> {
-    pub(crate) fn new(log: &'l DecisionLog, prefix_len: usize) -> Self {
-        ReplayCursor {
-            log,
-            prefix_len,
-            step_pos: 0,
-            synced: false,
-            checked: 0,
-        }
-    }
-}
-
 /// FTSS over a caller-provided scratch — the non-allocating entry point
 /// behind [`crate::Session::synthesize`]. Derives a fresh `AppModel`;
 /// callers running many times over one application (the FTQS tree builder)
@@ -1020,155 +656,12 @@ pub(crate) fn ftss_resume(
     Scheduler::new(model, config, ctx, scratch).run()
 }
 
-/// [`ftss_resume`] with the decision-replay machinery attached: when
-/// `replay` carries a parent's [`DecisionLog`] (plus the pivot prefix
-/// length its context pre-completed), commit steps in structural lockstep
-/// with the log skip their `DetermineDropping` search wherever the guard
-/// window proves the logged drops exact; when `capture` is given, the
-/// run's own decisions (and guard windows) are recorded into it for the
-/// run's future expansion. `cert` enables the order-stability
-/// certification pass on captured estimates: the compiled utility tables
-/// the early-edge bounds read from, plus the most negative avg-clock
-/// shift (ms, `< 0` to be useful) future replayers of the captured log
-/// are expected to use — the certified window is `[lo, 0]`. Output is
-/// bit-identical to [`ftss_resume`] under every combination.
-pub(crate) fn ftss_resume_replay(
-    model: &AppModel,
-    ctx: &ScheduleContext,
-    config: &FtssConfig,
-    scratch: &mut SynthesisScratch,
-    replay: Option<(&DecisionLog, usize)>,
-    capture: Option<&mut DecisionLog>,
-    cert: Option<(&CompiledUtilities, i64)>,
-) -> (Result<FSchedule, SchedulingError>, ReplayRunStats) {
-    let mut scheduler = Scheduler::new(model, config, ctx, scratch);
-    scheduler.cursor = replay.map(|(log, prefix_len)| ReplayCursor::new(log, prefix_len));
-    scheduler.capture = capture;
-    if let Some((compiled, lo)) = cert {
-        scheduler.compiled = Some(compiled);
-        scheduler.cert_lo = lo;
-        scheduler.prepare_cert_slack();
-    }
-    let mut stats = ReplayRunStats::default();
-    let result = scheduler.run_with_stats(&mut stats);
-    (result, stats)
-}
-
-/// Outcome of offering one estimate call to the replay log.
-enum EstimateReuse {
-    /// Matched inside the flat-cell window (the logged value IS the
-    /// honest value) or inside an order-stability certificate window
-    /// (the carried value was reconstructed in O(m) from the certified
-    /// placement order and IS the honest value): returned as-is, no
-    /// cascade.
-    Verbatim(f64),
-    /// Matched, but the window missed: compute honestly and keep
-    /// alignment only on a bit-identical result.
-    Compare(f64),
-    /// No match (alignment lost or log exhausted): compute honestly.
-    Honest,
-}
-
-/// Strategy for the utility evaluations inside the estimate cascade.
-/// The plain path evaluates only — monomorphization keeps it identical to
-/// the pre-replay code; the collecting path additionally intersects the
-/// flat-cell guard window in register-held shift space (see
-/// [`LogEstimate`]). Both produce bit-identical values.
-trait EvalSink {
-    fn eval(&mut self, u: &UtilityFunction, t: Time) -> f64;
-}
-
-/// Evaluation without window collection.
-struct PlainEval;
-
-impl EvalSink for PlainEval {
-    #[inline]
-    fn eval(&mut self, u: &UtilityFunction, t: Time) -> f64 {
-        u.value(t)
-    }
-}
-
-/// Evaluation that intersects each read's flat-cell constraint into a
-/// guard window over avg-clock shifts (ms): a read at `t` whose value
-/// holds on `[lo, hi]` constrains the shift to `[lo − t, hi − t]`; a read
-/// on a strictly descending segment empties the window.
-struct CollectEval {
-    lo: i128,
-    hi: i128,
-}
-
-impl EvalSink for CollectEval {
-    #[inline]
-    fn eval(&mut self, u: &UtilityFunction, t: Time) -> f64 {
-        if self.lo > self.hi {
-            // The window is already empty and intersection only shrinks
-            // it — the remaining reads can skip the fused flat-cell walk.
-            // The first read on a strictly descending segment gets here,
-            // which in practice is almost immediately, so capture runs
-            // evaluate at plain-eval cost from then on.
-            return u.value(t);
-        }
-        let (v, cell) = u.value_with_flat_cell(t);
-        match cell {
-            Some((lo, hi)) => {
-                let at = t.as_ms() as i128;
-                self.lo = self.lo.max(lo.as_ms() as i128 - at);
-                self.hi = self.hi.min(hi.as_ms() as i128 - at);
-            }
-            None => {
-                self.lo = 1;
-                self.hi = 0;
-            }
-        }
-        v
-    }
-}
-
 struct Scheduler<'s> {
     model: &'s AppModel,
     config: &'s FtssConfig,
     ctx: &'s ScheduleContext,
     prefix: &'s mut CommittedPrefix,
     probe: &'s mut ProbeScratch,
-    // --- decision replay (inert unless cursor/capture are attached) ---
-    cursor: Option<ReplayCursor<'s>>,
-    capture: Option<&'s mut DecisionLog>,
-    /// Compiled utility tables the certification pass's early-edge bounds
-    /// read from (`None` disables certification).
-    compiled: Option<&'s CompiledUtilities>,
-    /// Most negative avg-clock shift captured certificates must survive
-    /// (the certified window is `[cert_lo, 0]`; `0` disables capture-side
-    /// certification — a window no replayer needs proves nothing the
-    /// flat-cell guards don't already cover).
-    cert_lo: i64,
-    /// Resolutions this run performed itself (drops + commits).
-    own_res: usize,
-    /// `avg_clock` at the current step's start.
-    step_avg: Time,
-    // Per-step replay state (reset by `begin_step_replay`):
-    /// Cursor is in structural lockstep for the current step.
-    step_synced: bool,
-    /// This run's avg-clock shift vs the logged step (valid when synced).
-    step_delta: i64,
-    /// Next / one-past-last absolute index into the log's estimate list.
-    est_cursor: usize,
-    est_end: usize,
-    /// `est_cursor` at the step's start (consumed-estimate accounting).
-    est_step_start: usize,
-    /// The logged step's resolution range (valid when synced).
-    step_res_lo: usize,
-    step_res_len: usize,
-    /// Estimate-call alignment with the logged step still holds: every
-    /// prior call this step matched the logged one (same extra-drop, same
-    /// mid-step drop prefix) and produced the logged value.
-    est_aligned: bool,
-    /// `step_res` prefix length already verified against the log.
-    drops_checked: usize,
-    /// Estimates this step computed honestly (0 = fully replayed).
-    honest_estimates: usize,
-    /// Capture-side estimate index at the step's start.
-    cap_est_start: usize,
-    stats: ReplayRunStats,
 }
 
 impl<'s> Scheduler<'s> {
@@ -1190,24 +683,6 @@ impl<'s> Scheduler<'s> {
             ctx,
             prefix,
             probe,
-            cursor: None,
-            capture: None,
-            compiled: None,
-            cert_lo: 0,
-            own_res: 0,
-            step_avg: Time::ZERO,
-            step_synced: false,
-            step_delta: 0,
-            est_cursor: 0,
-            est_end: 0,
-            est_step_start: 0,
-            step_res_lo: 0,
-            step_res_len: 0,
-            est_aligned: false,
-            drops_checked: 0,
-            honest_estimates: 0,
-            cap_est_start: 0,
-            stats: ReplayRunStats::default(),
         }
     }
 
@@ -1215,9 +690,8 @@ impl<'s> Scheduler<'s> {
     /// [`crate::priority`]) computed from the dense model tables — the
     /// identical formula and float-operation order, minus the payload
     /// chasing; this runs O(s²) times per `Si′`/`Si″` estimate.
-    fn mu_priority_fast<E: EvalSink>(
+    fn mu_priority_fast(
         &self,
-        sink: &mut E,
         s: NodeId,
         now: Time,
         alpha: f64,
@@ -1227,7 +701,7 @@ impl<'s> Scheduler<'s> {
             .as_ref()
             .expect("MU priority is defined for soft processes only");
         let own_completion = now + self.model.aet_of[s.index()];
-        let mut score = alpha * sink.eval(u, own_completion) / self.model.denom_of[s.index()];
+        let mut score = alpha * u.value(own_completion) / self.model.denom_of[s.index()];
         let w = self.config.successor_weight;
         if w != 0.0 {
             let mut succ_sum = 0.0;
@@ -1240,118 +714,15 @@ impl<'s> Scheduler<'s> {
                 let uj = self.model.utility_of[j.index()]
                     .as_ref()
                     .expect("soft successor has a utility function");
-                succ_sum += sink.eval(uj, own_completion + aet_j) / denom_j;
+                succ_sum += uj.value(own_completion + aet_j) / denom_j;
             }
             score += w * succ_sum;
         }
         score
     }
 
-    /// Precomputes the per-process constant slack backing the cheap
-    /// certification bound (see `ProbeScratch::rise_own`): one
-    /// O(slots²) [`CompiledUtility::max_rise`] scan per soft process. A
-    /// process without a compiled table gets an infinite slack, which
-    /// routes every check involving it to the exact bound (and from
-    /// there to a safe certification failure).
-    ///
-    /// The tables are cached across the runs of one expansion wave
-    /// (`ProbeScratch::rise_lo` records the shift they were computed
-    /// at): `max_rise` is non-increasing in the shift, so tables built
-    /// for a more negative shift dominate every less negative one —
-    /// reusing them can only loosen the cheap filter (more exact
-    /// fallbacks), never change a certification decision. Scratches are
-    /// worker-private and rebuilt per wave, and the session scratch is
-    /// re-keyed by [`SynthesisScratch::prefix_init`] before each root
-    /// run, so cached tables never survive a model change.
-    fn prepare_cert_slack(&mut self) {
-        let Some(compiled) = self.compiled else {
-            return;
-        };
-        if self.capture.is_none() || self.cert_lo >= 0 || self.config.successor_weight < 0.0 {
-            return;
-        }
-        if self.probe.rise_lo <= self.cert_lo {
-            return;
-        }
-        let n = self.model.app.len();
-        let lo = self.cert_lo;
-        self.probe.rise_lo = lo;
-        let mut raw = vec![0.0f64; n];
-        for &s in &self.model.softs {
-            raw[s.index()] = match compiled.get(s) {
-                Some(cu) => cu.max_rise(lo),
-                None => f64::INFINITY,
-            };
-        }
-        self.probe.rise_own.clear();
-        self.probe.rise_own.resize(n, 0.0);
-        self.probe.rise_succ.clear();
-        self.probe.rise_succ.resize(n, 0.0);
-        for &s in &self.model.softs {
-            self.probe.rise_own[s.index()] = raw[s.index()] / self.model.denom_of[s.index()];
-            let mut sum = 0.0;
-            for &(j, denom_j, _aet_j) in &self.model.soft_succs[s.index()] {
-                sum += raw[j.index()] / denom_j;
-            }
-            self.probe.rise_succ[s.index()] = sum;
-        }
-    }
-
-    /// Early-edge upper bound of [`Self::mu_priority_fast`] over every
-    /// avg-clock shift in `[shift, 0]` (`shift ≤ 0`): each utility read
-    /// is replaced by its compiled-table value at `max(0, t + shift)` —
-    /// the largest value any shift in the window can read (TUFs are
-    /// non-increasing) — and the combining ops (`× α`, `÷ denom`, sums,
-    /// `× w`) are all IEEE-monotone for the non-negative `α`/`w` and
-    /// positive `denom` used here, so the assembled score dominates the
-    /// true score at every shift in the window. `None` when a read has no
-    /// compiled table (certification then fails safe).
-    fn mu_bound_shifted(
-        &self,
-        compiled: &CompiledUtilities,
-        s: NodeId,
-        now: Time,
-        alpha: f64,
-        shift: i64,
-        mut is_pending: impl FnMut(NodeId) -> bool,
-    ) -> Option<f64> {
-        let own_completion = now + self.model.aet_of[s.index()];
-        let cu = compiled.get(s)?;
-        let mut score =
-            alpha * cu.value_at_shift(own_completion, shift) / self.model.denom_of[s.index()];
-        let w = self.config.successor_weight;
-        if w != 0.0 {
-            let mut succ_sum = 0.0;
-            for &(j, denom_j, aet_j) in &self.model.soft_succs[s.index()] {
-                if !is_pending(j) {
-                    continue;
-                }
-                let cj = compiled.get(j)?;
-                succ_sum += cj.value_at_shift(own_completion + aet_j, shift) / denom_j;
-            }
-            score += w * succ_sum;
-        }
-        Some(score)
-    }
-
     fn run(mut self) -> Result<FSchedule, SchedulingError> {
-        let mut stats = ReplayRunStats::default();
-        self.run_with_stats(&mut stats)
-    }
-
-    fn run_with_stats(
-        &mut self,
-        stats_out: &mut ReplayRunStats,
-    ) -> Result<FSchedule, SchedulingError> {
-        let result = loop {
-            match self.step() {
-                Ok(true) => {}
-                Ok(false) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-        };
-        *stats_out = self.stats;
-        result?;
+        while self.step()? {}
         debug_assert!(
             self.prefix.resolved.iter().all(|&r| r),
             "FTSS must resolve every pending process"
@@ -1367,279 +738,37 @@ impl<'s> Scheduler<'s> {
     /// pending process (by dropping or scheduling) and returns `true`, or
     /// returns `false` when every process is resolved. Between steps the
     /// `CommittedPrefix` is a complete snapshot of the paused run.
-    ///
-    /// With a replay cursor attached, every suffix-utility estimate the
-    /// step's dropping phases request is first offered to the log
-    /// ([`Self::try_reuse_estimate`]); everything else — verdict
-    /// comparisons, feasibility probes, forced dropping, MU selection,
-    /// re-execution allowances — always runs honestly against this run's
-    /// own state, so the step's output is the search's output by
-    /// construction no matter how many estimates were reused.
     fn step(&mut self) -> Result<bool, SchedulingError> {
         if self.ready_nodes().next().is_none() {
             return Ok(false);
         }
-        self.probe.step_res.clear();
-        self.step_avg = self.prefix.avg_clock;
-        let synced_step = self.cursor_sync();
-        self.begin_step_replay(synced_step);
         if self.config.dropping {
             self.determine_dropping();
         }
-        let outcome = 'body: {
-            let Some(ready_now) = self.first_nonempty_ready() else {
-                break 'body Ok(true); // dropping promoted new nodes; re-enter the loop
-            };
-            let mut schedulable = self.schedulable_set(&ready_now);
-            while schedulable.is_empty() {
-                let ready_soft: Vec<NodeId> = self
-                    .ready_nodes()
-                    .filter(|&n| !self.model.hard_of[n.index()])
-                    .collect();
-                if ready_soft.is_empty() {
-                    break 'body Err(self.unschedulable_diagnosis());
-                }
-                self.forced_dropping(&ready_soft);
-                let ready_now: Vec<NodeId> = self.ready_nodes().collect();
-                if ready_now.is_empty() {
-                    break 'body Ok(true); // successors will surface next iteration
-                }
-                schedulable = self.schedulable_set(&ready_now);
-            }
-            let Some(best) = self.best_process(&schedulable) else {
-                break 'body Ok(true);
-            };
-            self.schedule(best);
-            Ok(true)
+        let Some(ready_now) = self.first_nonempty_ready() else {
+            return Ok(true); // dropping promoted new nodes; re-enter the loop
         };
-        if outcome.is_ok() {
-            self.finish_step(synced_step);
-        }
-        outcome
-    }
-
-    // ----- decision replay (per-step machinery) ---------------------------
-
-    /// Establishes (or maintains) structural lockstep with the replay log
-    /// and returns the current log step while synced. Re-attachment walks
-    /// the log's resolution prefix and verifies it matches exactly what
-    /// this run has resolved beyond its base context — pivot prefix
-    /// entries as commits, own resolutions kind-for-kind — landing on a
-    /// step boundary.
-    fn cursor_sync(&mut self) -> Option<usize> {
-        let cur = self.cursor.as_mut()?;
-        if !cur.synced {
-            let target = cur.prefix_len + self.own_res;
-            if target > cur.log.resolutions.len() {
-                return None;
+        let mut schedulable = self.schedulable_set(&ready_now);
+        while schedulable.is_empty() {
+            let ready_soft: Vec<NodeId> = self
+                .ready_nodes()
+                .filter(|&n| !self.model.hard_of[n.index()])
+                .collect();
+            if ready_soft.is_empty() {
+                return Err(self.unschedulable_diagnosis());
             }
-            // Resume verification where the last attempt stopped (see
-            // [`ReplayCursor::checked`]) — positions that matched once
-            // stay matched, and a position that failed only fails until
-            // this run resolves the process, so re-checking from
-            // `checked` is exact, not just an approximation.
-            for r in &cur.log.resolutions[cur.checked..target] {
-                let idx = r.process.index();
-                let ok = if r.dropped {
-                    self.prefix.dropped[idx]
-                } else {
-                    self.prefix.resolved[idx] && !self.prefix.dropped[idx]
-                };
-                if !ok {
-                    return None;
-                }
-                cur.checked += 1;
+            self.forced_dropping(&ready_soft);
+            let ready_now: Vec<NodeId> = self.ready_nodes().collect();
+            if ready_now.is_empty() {
+                return Ok(true); // successors will surface next iteration
             }
-            let j = cur
-                .log
-                .steps
-                .binary_search_by_key(&target, |s| s.res_start as usize)
-                .ok()?;
-            cur.step_pos = j;
-            cur.synced = true;
+            schedulable = self.schedulable_set(&ready_now);
         }
-        (cur.step_pos < cur.log.steps.len()).then_some(cur.step_pos)
-    }
-
-    /// Primes the per-step replay state from the (possibly absent) synced
-    /// log step.
-    fn begin_step_replay(&mut self, synced_step: Option<usize>) {
-        self.honest_estimates = 0;
-        self.drops_checked = 0;
-        self.cap_est_start = self.capture.as_ref().map_or(0, |c| c.estimates.len());
-        match synced_step {
-            Some(j) => {
-                let log = self.cursor.as_ref().expect("synced implies a cursor").log;
-                let s = log.steps[j];
-                self.step_synced = true;
-                self.est_aligned = true;
-                self.step_delta =
-                    i64::try_from(self.step_avg.as_ms() as i128 - s.avg_clock.as_ms() as i128)
-                        .unwrap_or(i64::MAX);
-                self.est_cursor = s.est_start as usize;
-                self.est_end = (s.est_start + s.est_len) as usize;
-                self.est_step_start = self.est_cursor;
-                self.step_res_lo = s.res_start as usize;
-                self.step_res_len = s.res_len as usize;
-            }
-            None => {
-                self.step_synced = false;
-                self.est_aligned = false;
-            }
-        }
-    }
-
-    /// Offers the next estimate call to the log (see [`EstimateReuse`]).
-    fn try_reuse_estimate(&mut self, extra_drop: Option<NodeId>) -> EstimateReuse {
-        if !self.est_aligned {
-            return EstimateReuse::Honest;
-        }
-        let log = self
-            .cursor
-            .as_ref()
-            .expect("alignment implies a synced cursor")
-            .log;
-        // Mid-step drops so far must mirror the logged step's resolution
-        // prefix — a diverging drop means a diverging structural state.
-        while self.drops_checked < self.probe.step_res.len() {
-            let k = self.drops_checked;
-            if k >= self.step_res_len
-                || log.resolutions[self.step_res_lo + k] != self.probe.step_res[k]
-            {
-                self.est_aligned = false;
-                return EstimateReuse::Honest;
-            }
-            self.drops_checked += 1;
-        }
-        if self.est_cursor >= self.est_end {
-            self.est_aligned = false;
-            return EstimateReuse::Honest;
-        }
-        let est = log.estimates[self.est_cursor];
-        let enc = extra_drop.map_or(u32::MAX, |n| n.index() as u32);
-        if est.extra_drop != enc {
-            self.est_aligned = false;
-            return EstimateReuse::Honest;
-        }
-        self.est_cursor += 1;
-        let delta = self.step_delta;
-        if est.delta_lo <= delta && delta <= est.delta_hi {
-            // Verbatim: every read lands in the same flat cell, so the
-            // grandchild's window is this one re-based by this run's
-            // shift; an attached certificate re-bases the same way.
-            if self.capture.is_some() {
-                let cert = self.carry_cert(log, est.cert, delta);
-                let cap = self.capture.as_mut().expect("capturing");
-                cap.estimates.push(LogEstimate {
-                    value: est.value,
-                    extra_drop: enc,
-                    delta_lo: est.delta_lo.saturating_sub(delta),
-                    delta_hi: est.delta_hi.saturating_sub(delta),
-                    cert,
-                });
-            }
-            return EstimateReuse::Verbatim(est.value);
-        }
-        if est.cert != u32::MAX {
-            let c = log.certs[est.cert as usize];
-            if c.lo <= delta && delta <= c.hi {
-                // Semi-replay: the certificate proves the placement order
-                // invariant at this shift, so the honest value is
-                // reconstructed in O(m) at this run's own clocks — it
-                // legitimately differs from the logged one.
-                let placements = &log.placements[c.pl_start as usize..][..c.pl_len as usize];
-                let value = self.semi_replay_estimate(extra_drop, placements);
-                self.stats.estimates_semi_replayed += 1;
-                if self.capture.is_some() {
-                    let cert = self.carry_cert(log, est.cert, delta);
-                    let cap = self.capture.as_mut().expect("capturing");
-                    cap.estimates.push(LogEstimate {
-                        value,
-                        extra_drop: enc,
-                        // No flat-cell window: the reconstruction skips
-                        // the argmax reads such a window must cover.
-                        delta_lo: 1,
-                        delta_hi: 0,
-                        cert,
-                    });
-                }
-                return EstimateReuse::Verbatim(value);
-            }
-        }
-        EstimateReuse::Compare(est.value)
-    }
-
-    /// Copies a logged certificate into the captured log, re-based by
-    /// this run's shift: certificate validity is relative to the
-    /// *original* certifying run, so a window `[lo, hi]` consumed at
-    /// shift `δ` becomes `[lo − δ, hi − δ]` for the captured log's own
-    /// replayers (whose shifts then compose back to a total inside the
-    /// original window). Returns the new certificate's index, or
-    /// `u32::MAX` when there is nothing to carry.
-    fn carry_cert(&mut self, log: &DecisionLog, cert: u32, delta: i64) -> u32 {
-        if cert == u32::MAX {
-            return u32::MAX;
-        }
-        let c = log.certs[cert as usize];
-        let cap = self
-            .capture
-            .as_mut()
-            .expect("certificates are carried only while capturing");
-        let pl_start = cap.placements.len();
-        cap.placements
-            .extend_from_slice(&log.placements[c.pl_start as usize..][..c.pl_len as usize]);
-        cap.certs.push(LogCert {
-            lo: c.lo.saturating_sub(delta),
-            hi: c.hi.saturating_sub(delta),
-            pl_start: u32::try_from(pl_start).expect("log fits u32 indices"),
-            pl_len: c.pl_len,
-        });
-        u32::try_from(cap.certs.len() - 1).expect("log fits u32 indices")
-    }
-
-    /// Step epilogue: replay accounting, capture of this step into the
-    /// run's own log, and cursor advance/detach based on whether the
-    /// step's actual resolutions matched the logged ones.
-    fn finish_step(&mut self, synced_step: Option<usize>) {
-        if self.cursor.is_some() {
-            // A step counts as replayed only when its dropping phase was
-            // actually served from the log; steps with no estimate calls
-            // at all (no ready soft candidate) had no search to skip and
-            // count as neither.
-            if self.honest_estimates > 0 {
-                self.stats.steps_searched += 1;
-            } else if self.step_synced && self.est_cursor > self.est_step_start {
-                self.stats.steps_replayed += 1;
-            }
-        }
-        if let Some(cap) = self.capture.as_mut() {
-            let res_start = cap.resolutions.len();
-            cap.resolutions.extend_from_slice(&self.probe.step_res);
-            cap.steps.push(LogStep {
-                res_start: u32::try_from(res_start).expect("log fits u32 indices"),
-                res_len: u32::try_from(self.probe.step_res.len()).expect("step fits u32"),
-                est_start: u32::try_from(self.cap_est_start).expect("log fits u32 indices"),
-                est_len: u32::try_from(cap.estimates.len() - self.cap_est_start)
-                    .expect("step fits u32"),
-                avg_clock: self.step_avg,
-            });
-        }
-        if let Some(cur) = self.cursor.as_mut() {
-            if cur.synced {
-                let matched = synced_step.is_some_and(|j| {
-                    let s = &cur.log.steps[j];
-                    let lo = s.res_start as usize;
-                    s.res_len as usize == self.probe.step_res.len()
-                        && cur.log.resolutions[lo..lo + s.res_len as usize]
-                            == self.probe.step_res[..]
-                });
-                if matched {
-                    cur.step_pos += 1;
-                } else {
-                    cur.synced = false;
-                }
-            }
-        }
+        let Some(best) = self.best_process(&schedulable) else {
+            return Ok(true);
+        };
+        self.schedule(best);
+        Ok(true)
     }
 
     fn ready_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
@@ -1707,109 +836,7 @@ impl<'s> Scheduler<'s> {
     /// Placement state and the hypothetical stale coefficients live in
     /// `ProbeScratch`; the only per-call cost beyond the list
     /// scheduling itself is one `memcpy` of the committed coefficients.
-    ///
-    /// With a replay cursor attached this is the reuse point: a call that
-    /// matches the next logged estimate inside its guard window returns
-    /// the logged value without running the cascade at all (see
-    /// [`DecisionLog`]); with capture attached, honest computations record
-    /// their value and collected guard window.
     fn soft_suffix_estimate(&mut self, extra_drop: Option<NodeId>) -> f64 {
-        let reuse = if self.cursor.is_some() {
-            self.try_reuse_estimate(extra_drop)
-        } else {
-            EstimateReuse::Honest
-        };
-        match reuse {
-            EstimateReuse::Verbatim(v) => return v,
-            EstimateReuse::Compare(_) | EstimateReuse::Honest => {}
-        }
-        self.honest_estimates += 1;
-        if self.cursor.is_some() || self.capture.is_some() {
-            self.stats.estimates_recomputed += 1;
-        }
-        let total = if self.capture.is_some() {
-            // Certification needs a strictly negative target window (a
-            // window no replayer reaches proves nothing the flat cells
-            // don't), the compiled tables for the early-edge bounds, and
-            // a non-negative lookahead weight (the monotonicity argument
-            // relies on every combining multiplier being ≥ 0). It is also
-            // lazy: only cascades of at least [`CERT_MIN_PENDING`] pending
-            // softs — the ones whose recomputation is worth skipping —
-            // pay the certification pass, and those skip the per-read
-            // flat-cell window collection entirely (large estimates
-            // virtually never land a usable flat window; the certificate
-            // is their reuse path, so collecting windows for them is pure
-            // capture overhead).
-            let certify = self.cert_lo < 0
-                && self.compiled.is_some()
-                && self.config.successor_weight >= 0.0
-                && self.prefix.soft_pending - usize::from(extra_drop.is_some()) >= CERT_MIN_PENDING;
-            let (total, delta_lo, delta_hi) = if certify {
-                let total =
-                    self.soft_suffix_estimate_compute::<_, true>(extra_drop, &mut PlainEval);
-                (total, 1, 0)
-            } else {
-                let mut sink = CollectEval {
-                    lo: i128::MIN,
-                    hi: i128::MAX,
-                };
-                let total = self.soft_suffix_estimate_compute::<_, false>(extra_drop, &mut sink);
-                (
-                    total,
-                    i64::try_from(sink.lo).unwrap_or(i64::MIN),
-                    i64::try_from(sink.hi).unwrap_or(i64::MAX),
-                )
-            };
-            let cert = if certify && self.probe.cert_ok {
-                self.stats.estimates_certified += 1;
-                let cap = self.capture.as_mut().expect("capturing");
-                let pl_start = cap.placements.len();
-                cap.placements.extend_from_slice(&self.probe.cert_placed);
-                cap.certs.push(LogCert {
-                    lo: self.cert_lo,
-                    hi: 0,
-                    pl_start: u32::try_from(pl_start).expect("log fits u32 indices"),
-                    pl_len: u32::try_from(self.probe.cert_placed.len()).expect("estimate fits u32"),
-                });
-                u32::try_from(cap.certs.len() - 1).expect("log fits u32 indices")
-            } else {
-                u32::MAX
-            };
-            let cap = self.capture.as_mut().expect("capturing");
-            cap.estimates.push(LogEstimate {
-                value: total,
-                extra_drop: extra_drop.map_or(u32::MAX, |n| n.index() as u32),
-                delta_lo,
-                delta_hi,
-                cert,
-            });
-            total
-        } else {
-            self.soft_suffix_estimate_compute::<_, false>(extra_drop, &mut PlainEval)
-        };
-        if let EstimateReuse::Compare(logged) = reuse {
-            // Both windows missed but the honest value matches the logged
-            // one bit-for-bit: the logged run took the same branch here,
-            // so alignment survives for the rest of the step.
-            if logged.to_bits() != total.to_bits() {
-                self.est_aligned = false;
-            }
-        }
-        total
-    }
-
-    /// The honest `Si′`/`Si″` cascade. With `CERT` (capture-side
-    /// certification), every argmax round additionally evaluates each
-    /// candidate's early-edge bound at shift `self.cert_lo` and records
-    /// the placement order; `probe.cert_ok` reports whether every round
-    /// kept its losers strictly below the winner — the order-stability
-    /// certificate (see the module docs). The plain instantiation
-    /// monomorphizes all of that away.
-    fn soft_suffix_estimate_compute<E: EvalSink, const CERT: bool>(
-        &mut self,
-        extra_drop: Option<NodeId>,
-        sink: &mut E,
-    ) -> f64 {
         let app = &*self.model.app;
         self.probe.alpha.copy_from(&self.prefix.alpha);
         if let Some(d) = extra_drop {
@@ -1826,14 +853,6 @@ impl<'s> Scheduler<'s> {
                     .copied()
                     .filter(|&s| !resolved[s.index()] && Some(s) != extra_drop),
             );
-        }
-        // The caller only instantiates `CERT` for cascades worth
-        // certifying (at least [`CERT_MIN_PENDING`] pending softs), so
-        // certification starts live and only dies on a failed bound.
-        let mut cert_live = CERT;
-        if CERT {
-            self.probe.cert_placed.clear();
-            self.probe.cert_ok = false;
         }
         // Readiness within the soft-induced subgraph: a pending soft is
         // ready when none of its pending soft ancestors is unplaced.
@@ -1867,66 +886,23 @@ impl<'s> Scheduler<'s> {
             // smallest id) — order-independent, so the ready list needs no
             // particular ordering and placed entries are swap-removed.
             let mut best: Option<(f64, NodeId, usize)> = None;
-            if CERT && cert_live {
-                self.probe.round_scores.clear();
-            }
             for pos in 0..self.probe.ready_soft.len() {
                 let (s, a) = self.probe.ready_soft[pos];
                 let mark = &self.probe.mark;
-                let pr = self.mu_priority_fast(sink, s, now, a, |j| mark[j.index()] == in_set);
-                if CERT && cert_live {
-                    self.probe.round_scores.push(pr);
-                }
+                let pr = self.mu_priority_fast(s, now, a, |j| mark[j.index()] == in_set);
                 if best.is_none_or(|(bp, bn, _)| pr > bp || (pr == bp && s < bn)) {
                     best = Some((pr, s, pos));
                 }
             }
-            let Some((winner_score, s, pos)) = best else {
+            let Some((_, s, pos)) = best else {
                 break;
             };
-            if CERT && cert_live {
-                // Winner-survival check: the winner's own score at shift 0
-                // is its minimum over the window; every loser's early-edge
-                // maximum must stay strictly below it (strict dominance
-                // keeps the argmax, tie break included, invariant across
-                // the whole window). The inflated constant-slack bound
-                // dominates the exact one, so only losers it cannot clear
-                // pay a per-read `mu_bound_shifted` evaluation.
-                let compiled = self.compiled.expect("certifying implies compiled tables");
-                let lo = self.cert_lo;
-                let w = self.config.successor_weight;
-                for p2 in 0..self.probe.ready_soft.len() {
-                    if p2 == pos {
-                        continue;
-                    }
-                    let (s2, a2) = self.probe.ready_soft[p2];
-                    let slack =
-                        a2 * self.probe.rise_own[s2.index()] + w * self.probe.rise_succ[s2.index()];
-                    let cheap = (self.probe.round_scores[p2] + slack) * CERT_SLACK_MARGIN;
-                    if cheap < winner_score {
-                        continue;
-                    }
-                    let mark = &self.probe.mark;
-                    match self
-                        .mu_bound_shifted(compiled, s2, now, a2, lo, |j| mark[j.index()] == in_set)
-                    {
-                        Some(b) if b < winner_score => {}
-                        _ => {
-                            cert_live = false;
-                            break;
-                        }
-                    }
-                }
-                if cert_live {
-                    self.probe.cert_placed.push(s);
-                }
-            }
             self.probe.ready_soft.swap_remove(pos);
             self.probe.mark[s.index()] = placed;
             now += self.model.aet_of[s.index()];
             let av = self.probe.alpha.resolve(app, s);
             if let Some(u) = self.model.utility_of[s.index()].as_ref() {
-                total += av * sink.eval(u, now);
+                total += av * u.value(now);
             }
             for j in app.graph().successors(s) {
                 if self.probe.mark[j.index()] == in_set {
@@ -1936,39 +912,6 @@ impl<'s> Scheduler<'s> {
                         self.probe.ready_soft.push((j, aj));
                     }
                 }
-            }
-        }
-        if CERT {
-            self.probe.cert_ok = cert_live;
-        }
-        total
-    }
-
-    /// Reconstructs a certified estimate in O(m) at this run's own
-    /// clocks: walks the logged placement order, performing exactly the
-    /// additions the honest cascade would — same order, same stale
-    /// coefficients (pure memoization over the same structural state),
-    /// same utility reads — so the result is the honest value bit-for-bit
-    /// without any MU-argmax search (see the module docs' *Certificates*
-    /// bullet for why the placement order is invariant inside the
-    /// certificate window).
-    fn semi_replay_estimate(&mut self, extra_drop: Option<NodeId>, placements: &[NodeId]) -> f64 {
-        let app = &*self.model.app;
-        self.probe.alpha.copy_from(&self.prefix.alpha);
-        if let Some(d) = extra_drop {
-            self.probe.alpha.mark_dropped(d);
-        }
-        let mut now = self.prefix.avg_clock;
-        let mut total = 0.0;
-        for &s in placements {
-            debug_assert!(
-                !self.prefix.resolved[s.index()] && Some(s) != extra_drop,
-                "certified placements must be this run's pending softs"
-            );
-            now += self.model.aet_of[s.index()];
-            let av = self.probe.alpha.resolve(app, s);
-            if let Some(u) = self.model.utility_of[s.index()].as_ref() {
-                total += av * u.value(now);
             }
         }
         total
@@ -2361,9 +1304,8 @@ impl<'s> Scheduler<'s> {
             for &s in &softs {
                 let a = alpha_preview(&self.model.app, &mut self.prefix.alpha, s);
                 let resolved = &self.prefix.resolved;
-                let pr = self.mu_priority_fast(&mut PlainEval, s, self.prefix.avg_clock, a, |j| {
-                    !resolved[j.index()]
-                });
+                let pr =
+                    self.mu_priority_fast(s, self.prefix.avg_clock, a, |j| !resolved[j.index()]);
                 if best.is_none_or(|(bp, bn)| pr > bp || (pr == bp && s < bn)) {
                     best = Some((pr, s));
                 }
@@ -2409,11 +1351,6 @@ impl<'s> Scheduler<'s> {
         self.prefix.avg_clock += self.model.aet_of[best.index()];
         self.prefix.alpha.resolve(&self.model.app, best);
         self.prefix.mark_resolved(self.model, best);
-        self.probe.step_res.push(LogResolution {
-            process: best,
-            dropped: false,
-        });
-        self.own_res += 1;
     }
 
     /// Grants re-executions to the just-picked soft process one at a time:
@@ -2460,11 +1397,6 @@ impl<'s> Scheduler<'s> {
         self.prefix.alpha.mark_dropped(pi);
         self.prefix.new_drops.push(pi);
         self.prefix.mark_resolved(self.model, pi);
-        self.probe.step_res.push(LogResolution {
-            process: pi,
-            dropped: true,
-        });
-        self.own_res += 1;
     }
 
     fn unschedulable_diagnosis(&self) -> SchedulingError {
@@ -2968,421 +1900,6 @@ mod tests {
             let second = ftss_resume(&model, &ctx, &cfg, &mut scratch);
             assert_eq!(second, straight, "seed {seed}: re-resumed run diverged");
         }
-    }
-
-    // ----- decision replay ------------------------------------------------
-
-    /// Captures the decision log of a run over `ctx`, returning the
-    /// schedule too.
-    fn captured_run(
-        model: &AppModel,
-        ctx: &ScheduleContext,
-        cfg: &FtssConfig,
-    ) -> Result<(FSchedule, DecisionLog), SchedulingError> {
-        let mut scratch = SynthesisScratch::new();
-        scratch.prefix_mut().init(model, ctx);
-        let mut log = DecisionLog::default();
-        let (result, _) =
-            ftss_resume_replay(model, ctx, cfg, &mut scratch, None, Some(&mut log), None);
-        result.map(|s| (s, log))
-    }
-
-    #[test]
-    fn capture_records_one_log_step_per_commit_step() {
-        let (app, _) = fig1_app();
-        let model = AppModel::build(&app);
-        let ctx = ScheduleContext::root(&app);
-        let (schedule, log) = captured_run(&model, &ctx, &FtssConfig::default()).unwrap();
-        // Every entry and every static drop is a logged resolution, and
-        // steps partition them.
-        assert_eq!(
-            log.resolutions.len(),
-            schedule.entries().len() + schedule.statically_dropped().len()
-        );
-        assert!(log.steps_len() >= 1);
-        assert_eq!(
-            log.steps.iter().map(|s| s.res_len as usize).sum::<usize>(),
-            log.resolutions.len()
-        );
-        assert_eq!(
-            log.steps.iter().map(|s| s.est_len as usize).sum::<usize>(),
-            log.estimates.len()
-        );
-    }
-
-    #[test]
-    fn replay_reproduces_fresh_runs_across_pivot_contexts() {
-        // The core soundness property of decision replay: for every pivot
-        // of every seeded root schedule, a run replaying the root's log
-        // must be bit-identical to a from-scratch search — whether the
-        // guards let it reuse everything, part of the prefix, or nothing.
-        let cfg = FtssConfig::default();
-        let mut replayed_steps = 0usize;
-        let mut searched_steps = 0usize;
-        for seed in 0..24u64 {
-            let app = seeded_app(seed ^ 0x7A);
-            let model = AppModel::build(&app);
-            let root_ctx = ScheduleContext::root(&app);
-            let Ok((root, log)) = captured_run(&model, &root_ctx, &cfg) else {
-                continue;
-            };
-            let entries = root.entries();
-            let mut start = root_ctx.start;
-            for p in 0..entries.len().saturating_sub(1) {
-                start += app.process(entries[p].process).times().bcet();
-                let mut ctx = root_ctx.clone();
-                for e in &entries[..=p] {
-                    ctx.completed[e.process.index()] = true;
-                }
-                ctx.start = start;
-
-                let mut scratch = SynthesisScratch::new();
-                scratch.prefix_mut().init(&model, &ctx);
-                let (replayed, stats) = ftss_resume_replay(
-                    &model,
-                    &ctx,
-                    &cfg,
-                    &mut scratch,
-                    Some((&log, p + 1)),
-                    None,
-                    None,
-                );
-                let mut fresh_scratch = SynthesisScratch::new();
-                let fresh = ftss_from_context(&model, &ctx, &cfg, &mut fresh_scratch);
-                assert_eq!(replayed, fresh, "seed {seed} pivot {p}: replay diverged");
-                replayed_steps += stats.steps_replayed;
-                searched_steps += stats.steps_searched;
-            }
-        }
-        assert!(
-            replayed_steps > 0,
-            "the corpus must exercise actual decision reuse"
-        );
-        // Guard fallback on this corpus depends on its (wide) utility
-        // cells; the crafted tests below force it deterministically.
-        let _ = searched_steps;
-    }
-
-    #[test]
-    fn replay_falls_back_when_the_pivot_flips_a_drop_verdict() {
-        // Crafted divergence: `fragile` is worthless at the root's
-        // average-case timing (the root's log drops it), but a pivot that
-        // completes `head` at its best case revives it. The replay of the
-        // root's log must detect the flipped verdict — the estimate's
-        // guard window cannot cover both sides of the breakpoint — and
-        // fall back to full search, reproducing the fresh schedule that
-        // keeps `fragile`.
-        let mut b = Application::builder(t(1000), FaultModel::none());
-        let head = b.add_soft(
-            "head",
-            et(10, 100),
-            UtilityFunction::constant(100.0).unwrap(),
-        );
-        let fragile = b.add_soft(
-            "fragile",
-            et(10, 10),
-            UtilityFunction::step(50.0, [(t(60), 0.0)]).unwrap(),
-        );
-        b.add_dependency(head, fragile).unwrap();
-        let app = b.build().unwrap();
-        let model = AppModel::build(&app);
-        let cfg = FtssConfig::default();
-        let root_ctx = ScheduleContext::root(&app);
-        let (root, log) = captured_run(&model, &root_ctx, &cfg).unwrap();
-        assert!(
-            root.statically_dropped().contains(&fragile),
-            "the root (head at aet 55) must drop the fragile process"
-        );
-
-        let mut ctx = root_ctx.clone();
-        ctx.completed[head.index()] = true;
-        ctx.start = t(10); // head at bcet: fragile completes at 20 <= 60
-        let mut scratch = SynthesisScratch::new();
-        scratch.prefix_mut().init(&model, &ctx);
-        let (replayed, stats) = ftss_resume_replay(
-            &model,
-            &ctx,
-            &cfg,
-            &mut scratch,
-            Some((&log, 1)),
-            None,
-            None,
-        );
-        let fresh = ftss_from_context(&model, &ctx, &cfg, &mut SynthesisScratch::new());
-        assert_eq!(replayed, fresh, "fallback must reproduce the search");
-        let replayed = replayed.unwrap();
-        assert!(
-            replayed.statically_dropped().is_empty(),
-            "the pivot run must revive the fragile process"
-        );
-        assert_eq!(replayed.order_key(), vec![fragile]);
-        let _ = head;
-        assert!(
-            stats.steps_searched > 0,
-            "the flipped verdict must force a searched step"
-        );
-    }
-
-    #[test]
-    fn replay_survives_a_flipped_reexecution_allowance() {
-        // The feasibility side (re-execution allowances) is recomputed
-        // honestly per run and is *not* part of the structural lockstep:
-        // a pivot whose earlier worst-case clock flips an allowance must
-        // keep replaying the utility-side decisions, and the resulting
-        // entry differs from the log's only in its allowance.
-        let mut b = Application::builder(t(1000), FaultModel::new(1, t(10)));
-        let head = b.add_soft("head", et(10, 200), UtilityFunction::constant(5.0).unwrap());
-        let s = b.add_soft(
-            "S",
-            et(50, 50),
-            UtilityFunction::step(100.0, [(t(300), 0.0)]).unwrap(),
-        );
-        b.add_dependency(head, s).unwrap();
-        let app = b.build().unwrap();
-        let model = AppModel::build(&app);
-        let cfg = FtssConfig::default();
-        let root_ctx = ScheduleContext::root(&app);
-        let (root, log) = captured_run(&model, &root_ctx, &cfg).unwrap();
-        let root_s = root.position_of(s).expect("S is scheduled");
-        assert_eq!(
-            root.entries()[root_s].reexecutions,
-            0,
-            "at the root's clock a re-executed S (wc 260 + 60 > 300) is worthless"
-        );
-
-        let mut ctx = root_ctx.clone();
-        ctx.completed[head.index()] = true;
-        ctx.start = t(10);
-        let mut scratch = SynthesisScratch::new();
-        scratch.prefix_mut().init(&model, &ctx);
-        let (replayed, stats) = ftss_resume_replay(
-            &model,
-            &ctx,
-            &cfg,
-            &mut scratch,
-            Some((&log, 1)),
-            None,
-            None,
-        );
-        let fresh = ftss_from_context(&model, &ctx, &cfg, &mut SynthesisScratch::new());
-        assert_eq!(replayed, fresh);
-        let replayed = replayed.unwrap();
-        assert_eq!(
-            replayed.entries()[0].reexecutions,
-            1,
-            "the earlier pivot clock makes one re-execution pay off"
-        );
-        assert!(
-            stats.steps_replayed > 0,
-            "allowance flips must not break utility-side lockstep"
-        );
-    }
-
-    // ----- order-stability certificates ----------------------------------
-
-    /// Captures a run with the order-stability certification pass enabled
-    /// at window floor `lo` (the compiled tables derive from `app`).
-    fn certified_run(
-        model: &AppModel,
-        ctx: &ScheduleContext,
-        cfg: &FtssConfig,
-        lo: i64,
-    ) -> (FSchedule, DecisionLog, ReplayRunStats) {
-        let compiled = CompiledUtilities::build(&model.app);
-        let mut scratch = SynthesisScratch::new();
-        scratch.prefix_mut().init(model, ctx);
-        let mut log = DecisionLog::default();
-        let (result, stats) = ftss_resume_replay(
-            model,
-            ctx,
-            cfg,
-            &mut scratch,
-            None,
-            Some(&mut log),
-            Some((&compiled, lo)),
-        );
-        (
-            result.expect("cert corpus apps are schedulable"),
-            log,
-            stats,
-        )
-    }
-
-    /// `head` gating enough softs that every dropping-phase cascade meets
-    /// the [`CERT_MIN_PENDING`] certification floor. The gated softs hold
-    /// well-separated MU densities on long-flat step utilities, so the
-    /// argmax order is strict at every avg-clock shift and certification
-    /// succeeds; an optional `fragile` tail process (utility vanishing at
-    /// 130 ms) is worthless at the root's clocks but not at a pivot's.
-    fn cert_app(with_fragile: bool) -> (Application, NodeId, Option<NodeId>) {
-        let mut b = Application::builder(t(100_000), FaultModel::none());
-        let head = b.add_soft(
-            "head",
-            et(10, 100),
-            UtilityFunction::constant(100.0).unwrap(),
-        );
-        let stable = if with_fragile { 8 } else { 9 };
-        for i in 0..stable {
-            let peak = 900.0 - 50.0 * i as f64;
-            let s = b.add_soft(
-                format!("S{i}"),
-                et(10, 10),
-                UtilityFunction::step(peak, [(t(50_000), 0.0)]).unwrap(),
-            );
-            b.add_dependency(head, s).unwrap();
-        }
-        let fragile = with_fragile.then(|| {
-            let f = b.add_soft(
-                "fragile",
-                et(10, 10),
-                UtilityFunction::step(50.0, [(t(130), 0.0)]).unwrap(),
-            );
-            b.add_dependency(head, f).unwrap();
-            f
-        });
-        (b.build().unwrap(), head, fragile)
-    }
-
-    #[test]
-    fn certified_estimates_semi_replay_inside_the_window() {
-        // A pivot whose avg-clock shift stays inside the captured
-        // certificate window must reconstruct the large estimates in O(m)
-        // from the logged placement order (the semi-replay counter proves
-        // the path was taken) and still be bit-identical to a fresh
-        // search.
-        let (app, head, _) = cert_app(false);
-        let model = AppModel::build(&app);
-        let cfg = FtssConfig::default();
-        let root_ctx = ScheduleContext::root(&app);
-        let (_, log, cap_stats) = certified_run(&model, &root_ctx, &cfg, -60);
-        assert!(
-            cap_stats.estimates_certified > 0,
-            "the capture run must certify its large estimates"
-        );
-        assert!(log.certs_len() > 0, "certificates must land in the log");
-
-        // head at bcet: shift −45 ∈ [−60, 0] (aet 55 → bcet 10).
-        let mut ctx = root_ctx.clone();
-        ctx.completed[head.index()] = true;
-        ctx.start = t(10);
-        let mut scratch = SynthesisScratch::new();
-        scratch.prefix_mut().init(&model, &ctx);
-        let (replayed, stats) = ftss_resume_replay(
-            &model,
-            &ctx,
-            &cfg,
-            &mut scratch,
-            Some((&log, 1)),
-            None,
-            None,
-        );
-        let fresh = ftss_from_context(&model, &ctx, &cfg, &mut SynthesisScratch::new());
-        assert_eq!(replayed, fresh, "semi-replay must stay bit-identical");
-        assert!(
-            stats.estimates_semi_replayed > 0,
-            "the in-window shift must exercise the semi-replay path"
-        );
-        assert!(stats.steps_replayed > 0);
-    }
-
-    #[test]
-    fn shift_outside_the_certificate_window_forces_honest_recompute() {
-        // The drop-verdict-flip scenario against certified estimates: the
-        // pivot's shift (−45) overshoots the certificate window ([−30, 0]),
-        // so no certificate may be consumed — every estimate recomputes
-        // honestly, the honest values expose the flipped verdict (`fragile`
-        // revives at the earlier clock), and the cursor detaches into full
-        // search rather than reusing stale placements.
-        let (app, head, fragile) = cert_app(true);
-        let fragile = fragile.unwrap();
-        let model = AppModel::build(&app);
-        let cfg = FtssConfig::default();
-        let root_ctx = ScheduleContext::root(&app);
-        let (root, log, _) = certified_run(&model, &root_ctx, &cfg, -30);
-        assert!(
-            root.statically_dropped().contains(&fragile),
-            "at the root's clocks the fragile process is worthless"
-        );
-        assert!(log.certs_len() > 0, "the log must be reuse-eligible");
-
-        let mut ctx = root_ctx.clone();
-        ctx.completed[head.index()] = true;
-        ctx.start = t(10);
-        let mut scratch = SynthesisScratch::new();
-        scratch.prefix_mut().init(&model, &ctx);
-        let (replayed, stats) = ftss_resume_replay(
-            &model,
-            &ctx,
-            &cfg,
-            &mut scratch,
-            Some((&log, 1)),
-            None,
-            None,
-        );
-        let fresh = ftss_from_context(&model, &ctx, &cfg, &mut SynthesisScratch::new());
-        assert_eq!(replayed, fresh, "fallback must reproduce the search");
-        assert!(
-            replayed.unwrap().statically_dropped().is_empty(),
-            "the pivot run must revive the fragile process"
-        );
-        assert_eq!(
-            stats.estimates_semi_replayed, 0,
-            "an out-of-window shift must never consume a certificate"
-        );
-        assert!(
-            stats.estimates_recomputed > 0,
-            "the misses must be recomputed honestly"
-        );
-        assert!(
-            stats.steps_searched > 0,
-            "the flipped verdict must force a searched step"
-        );
-    }
-
-    #[test]
-    fn semi_replay_handles_a_flipped_drop_verdict_inside_the_window() {
-        // The same flip with a window that *covers* the shift: the
-        // semi-replayed reconstruction runs at the pivot's own clocks, so
-        // it legitimately produces a different (honest) estimate value,
-        // the drop verdict flips inside replay, and the run still matches
-        // the fresh search bit for bit — certificates change *when* work
-        // happens, never *what* the f64 bits are.
-        let (app, head, fragile) = cert_app(true);
-        let fragile = fragile.unwrap();
-        let model = AppModel::build(&app);
-        let cfg = FtssConfig::default();
-        let root_ctx = ScheduleContext::root(&app);
-        let (root, log, _) = certified_run(&model, &root_ctx, &cfg, -60);
-        assert!(root.statically_dropped().contains(&fragile));
-
-        let mut ctx = root_ctx.clone();
-        ctx.completed[head.index()] = true;
-        ctx.start = t(10);
-        let mut scratch = SynthesisScratch::new();
-        scratch.prefix_mut().init(&model, &ctx);
-        let (replayed, stats) = ftss_resume_replay(
-            &model,
-            &ctx,
-            &cfg,
-            &mut scratch,
-            Some((&log, 1)),
-            None,
-            None,
-        );
-        let fresh = ftss_from_context(&model, &ctx, &cfg, &mut SynthesisScratch::new());
-        assert_eq!(replayed, fresh, "semi-replay must stay bit-identical");
-        assert!(
-            replayed.unwrap().statically_dropped().is_empty(),
-            "the honest semi-replayed values must revive the fragile process"
-        );
-        assert!(
-            stats.estimates_semi_replayed > 0,
-            "the in-window estimates must come from certificates"
-        );
-        assert!(
-            stats.steps_searched > 0,
-            "the flipped verdict still forces honest steps after the flip"
-        );
     }
 
     #[test]

@@ -158,42 +158,6 @@ fn accumulate_shifted_matches_scalar_accumulation() {
 }
 
 #[test]
-fn value_at_shift_dominates_every_shift_in_the_window() {
-    // The early-edge bound order-stability certificates are built on: for
-    // a window `[lo, 0]` (lo ≤ 0), `value_at_shift(t, lo)` must dominate
-    // the value the same read returns under *any* shift in the window
-    // (TUFs are non-increasing, so the earliest read time pays the most),
-    // and at shift 0 it must be the unshifted value bit for bit.
-    for seed in 0..CASES {
-        let (f, horizon) = random_function(seed);
-        let c = f.compiled();
-        let mut rng = StdRng::seed_from_u64(0x51F7 ^ seed);
-        for _ in 0..4 {
-            let lo = -(rng.gen_range(1u64..=horizon.max(2)) as i64);
-            for probe in 0..=horizon + 10 {
-                let at = t(probe);
-                assert_eq!(
-                    c.value_at_shift(at, 0).to_bits(),
-                    f.value(at).to_bits(),
-                    "seed {seed} t {probe}: shift 0 must be the identity"
-                );
-                let bound = c.value_at_shift(at, lo);
-                for d in [lo, lo / 2, (lo + 1).min(0), -1, 0] {
-                    let d = d.clamp(lo, 0);
-                    let read = t((probe as i64 + d).max(0) as u64);
-                    assert!(
-                        f.value(read) <= bound,
-                        "seed {seed} t {probe} lo {lo} d {d}: \
-                         {} exceeds the early-edge bound {bound}",
-                        f.value(read)
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn adjacent_millisecond_linear_points_stay_exact() {
     // The compiled form ends the last interpolating slot one integer ms
     // before the last point; with adjacent-ms points that slot collapses

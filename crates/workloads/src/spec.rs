@@ -426,6 +426,68 @@ mod tests {
     }
 
     #[test]
+    fn extreme_times_are_rejected_or_analyzed_without_wrapping() {
+        // The hard guarantee must hold for every accepted spec: either
+        // parsing rejects a value, or no reported worst-case completion
+        // falls below the process's own WCET (which a wrapped `Time` sum
+        // would produce).
+        const MAX: u64 = u64::MAX;
+        let fields = [
+            "period", "k", "mu", "bcet", "aet", "wcet", "deadline", "recovery",
+        ];
+        let spec_with = |extreme: Option<&str>| {
+            let v = |field: &str, normal: u64| {
+                if extreme == Some(field) {
+                    MAX
+                } else {
+                    normal
+                }
+            };
+            format!(
+                "period {}\nfaults {} {}\n\
+                 process P hard {} {} aet {} deadline {} recovery {}\n\
+                 process S soft 5 9 utility 10 @ 400:0\n\
+                 edge P S\n",
+                v("period", 1000),
+                v("k", 1),
+                v("mu", 5),
+                v("bcet", 10),
+                v("wcet", 30),
+                v("aet", 20),
+                v("deadline", 900),
+                v("recovery", 3),
+            )
+        };
+        let mut accepted = 0;
+        for extreme in fields.iter().map(|&f| Some(f)).chain([None]) {
+            let spec = spec_with(extreme);
+            let Ok(app) = parse(&spec) else {
+                continue;
+            };
+            accepted += 1;
+            let schedule = ftss_schedule(&app)
+                .unwrap_or_else(|e| panic!("{extreme:?}: accepted spec fails synthesis: {e}"));
+            let analysis = schedule.analyze(&app);
+            for (pos, e) in schedule.entries().iter().enumerate() {
+                let wcet = app.process(e.process).times().wcet();
+                assert!(
+                    analysis.worst_completion(pos) >= wcet,
+                    "{extreme:?}: worst-case completion {} of {} below its WCET {wcet}",
+                    analysis.worst_completion(pos),
+                    app.process(e.process).name()
+                );
+            }
+        }
+        assert!(accepted >= 2, "the baseline and the period variant parse");
+        // The spec whose 3 ms worst case once passed as schedulable.
+        let err = parse(&format!(
+            "period {MAX}\nfaults 1 5\nprocess P hard {MAX} {MAX} deadline {MAX}\n"
+        ))
+        .unwrap_err();
+        assert!(err.to_string().contains("horizon"), "{err}");
+    }
+
+    #[test]
     fn errors_carry_line_numbers() {
         let cases = [
             ("period 100\nbogus x\n", 2, "unknown directive"),
