@@ -161,11 +161,7 @@ fn main() {
     let _ = writeln!(json, "  \"seed\": {seed},");
     let _ = writeln!(json, "  \"fault_budget_k\": {k},");
     let _ = writeln!(json, "  \"intensities\": {intensities:?},");
-    let _ = writeln!(
-        json,
-        "  \"parallel_feature\": {},",
-        cfg!(feature = "parallel")
-    );
+    let _ = writeln!(json, "  \"host_threads\": {},", mc.threads);
     let _ = writeln!(
         json,
         "  \"normalization\": \"utility_pct is relative to the same app's FTQS mean utility \

@@ -241,11 +241,6 @@ fn main() {
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"seed\": {seed},");
     let _ = writeln!(json, "  \"host_threads\": {threads},");
-    let _ = writeln!(
-        json,
-        "  \"parallel_feature\": {},",
-        cfg!(feature = "parallel")
-    );
     let _ = writeln!(json, "  \"peak_flat_scen_per_sec\": {peak_flat:.0},");
     json.push_str("  \"serial_speedup_by_size\": {");
     for (i, &(size, s)) in speedups.iter().enumerate() {

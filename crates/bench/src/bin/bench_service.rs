@@ -422,8 +422,8 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"parallel_feature\": {},",
-        cfg!(feature = "parallel")
+        "  \"host_threads\": {},",
+        std::thread::available_parallelism().map_or(1, usize::from)
     );
     let _ = writeln!(
         json,

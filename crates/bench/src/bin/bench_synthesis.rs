@@ -6,13 +6,26 @@
 //! nanoseconds plus speedup factors as JSON. Future PRs regenerate the
 //! file on the same machine to track the performance trajectory.
 //!
-//! Schema `ftqs-bench-synthesis/6`: every FTQS row carries its `budget`
+//! Schema `ftqs-bench-synthesis/7`: every FTQS row carries its `budget`
 //! and is measured twice — once at the base budget (default 16) and once
 //! at budget 40, so deep trees with many pivots per parent are tracked
 //! alongside the shallow default. Oracle baselines are measured at the
 //! base budget only (the reference implementation is orders of magnitude
-//! slower on deep trees). The `ftqs` rows of `/5` files are comparable;
-//! their other FTQS rows timed expansion modes that no longer exist.
+//! slower on deep trees). `host_threads` is the host's available
+//! parallelism, which is also the FTQS worker count.
+//!
+//! Two ablations ride along:
+//!
+//! * **A1, shared vs reserved recovery slack** (`slack_sharing`, one row
+//!   per size): the worst-case fault delay of the root FTSS schedule when
+//!   its processes share one recovery slack (the paper's analysis) and
+//!   when each process reserves its own full allowance. Both are exact
+//!   model values in ms, not timings.
+//! * **A3, utility-driven dropping** (`ftss_no_dropping` rows): FTSS with
+//!   `FtssConfig::dropping` off, timed and with its expected utility next
+//!   to the `ftss` row's.
+//!
+//! Timed rows are comparable with those of `/6` files.
 //!
 //! Usage: `cargo run --release -p ftqs-bench --bin bench_synthesis
 //! [--out PATH] [--reps N] [--budget M] [--skip-baseline] [--smoke]`
@@ -24,7 +37,8 @@
 use ftqs_bench::Options;
 use ftqs_core::ftqs::FtqsConfig;
 use ftqs_core::oracle::{ftqs_reference, ftss_reference};
-use ftqs_core::{Application, Engine, FtssConfig, ScheduleContext, SynthesisRequest};
+use ftqs_core::wcdelay::{worst_case_fault_delay, SlackItem};
+use ftqs_core::{Application, Engine, FtssConfig, ScheduleContext, SynthesisRequest, Time};
 use ftqs_workloads::{presets, synthetic};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,6 +68,7 @@ struct Row {
     budget: Option<usize>,
     optimized_ns: u128,
     baseline_ns: Option<u128>,
+    expected_utility: Option<f64>,
 }
 
 fn main() {
@@ -68,9 +83,17 @@ fn main() {
     // the amortized hot path production callers run. Baselines stay on the
     // oracle reference functions.
     let mut session = Engine::new().session();
+    let mut no_dropping_session = Engine::new()
+        .with_ftss_config(FtssConfig {
+            dropping: false,
+            ..FtssConfig::default()
+        })
+        .session();
     let ftss_req = SynthesisRequest::ftss();
     let ftss_cfg = FtssConfig::default();
     let mut rows: Vec<Row> = Vec::new();
+    // A1 rows, one JSON object per size.
+    let mut slack_rows: Vec<String> = Vec::new();
 
     // The deep-budget row set tracks trees with many pivots per parent;
     // collapse it when `--budget` already asks for it.
@@ -86,6 +109,25 @@ fn main() {
         let app: Application = synthetic::generate_schedulable(&params, &mut rng, 50);
         let ctx = ScheduleContext::root(&app);
 
+        let ftss = session.synthesize(&app, &ftss_req).expect("schedulable");
+        let k = app.faults().k;
+        let items: Vec<SlackItem> = ftss
+            .root_schedule()
+            .entries()
+            .iter()
+            .map(|e| SlackItem::new(app.recovery_penalty(e.process), e.reexecutions))
+            .collect();
+        let shared = worst_case_fault_delay(&items, k);
+        let reserved: Time = items
+            .iter()
+            .map(|it| it.penalty * it.allowance.min(k) as u64)
+            .sum();
+        slack_rows.push(format!(
+            "    {{\"processes\": {size}, \"shared_delay_ms\": {}, \"reserved_delay_ms\": {}}}",
+            shared.as_ms(),
+            reserved.as_ms()
+        ));
+
         let ftss_ns = median_ns(reps, || {
             session.synthesize(&app, &ftss_req).expect("schedulable");
         });
@@ -100,6 +142,7 @@ fn main() {
             budget: None,
             optimized_ns: ftss_ns,
             baseline_ns: ftss_base,
+            expected_utility: Some(ftss.utility.expected_average_case),
         });
         eprintln!(
             "ftss/{size}: optimized {ftss_ns} ns{}",
@@ -110,6 +153,28 @@ fn main() {
                 ),
                 None => String::new(),
             }
+        );
+
+        let no_dropping = no_dropping_session
+            .synthesize(&app, &ftss_req)
+            .expect("schedulable");
+        let no_dropping_ns = median_ns(reps, || {
+            no_dropping_session
+                .synthesize(&app, &ftss_req)
+                .expect("schedulable");
+        });
+        rows.push(Row {
+            algorithm: "ftss_no_dropping",
+            processes: size,
+            budget: None,
+            optimized_ns: no_dropping_ns,
+            baseline_ns: None,
+            expected_utility: Some(no_dropping.utility.expected_average_case),
+        });
+        eprintln!(
+            "ftss_no_dropping/{size}: optimized {no_dropping_ns} ns, expected utility {:.3} \
+             (with dropping {:.3})",
+            no_dropping.utility.expected_average_case, ftss.utility.expected_average_case
         );
 
         for &budget in budgets {
@@ -134,6 +199,7 @@ fn main() {
                 budget: Some(budget),
                 optimized_ns: ftqs_ns,
                 baseline_ns: ftqs_base,
+                expected_utility: None,
             });
             eprintln!(
                 "ftqs/{size}/b{budget}: optimized {ftqs_ns} ns{}",
@@ -149,18 +215,18 @@ fn main() {
     }
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"ftqs-bench-synthesis/6\",");
+    let _ = writeln!(json, "  \"schema\": \"ftqs-bench-synthesis/7\",");
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"ftqs_budget\": {base_budget},");
     let _ = writeln!(
         json,
-        "  \"parallel_feature\": {},",
-        cfg!(feature = "parallel")
+        "  \"host_threads\": {},",
+        std::thread::available_parallelism().map_or(1, usize::from)
     );
     let _ = writeln!(
         json,
-        "  \"threads\": {},",
-        std::thread::available_parallelism().map_or(1, usize::from)
+        "  \"slack_sharing\": [\n{}\n  ],",
+        slack_rows.join(",\n")
     );
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -179,6 +245,9 @@ fn main() {
                 ", \"baseline_median_ns\": {b}, \"speedup\": {:.2}",
                 b as f64 / r.optimized_ns.max(1) as f64
             );
+        }
+        if let Some(u) = r.expected_utility {
+            let _ = write!(json, ", \"expected_utility\": {u:.4}");
         }
         json.push('}');
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });

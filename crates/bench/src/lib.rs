@@ -1,7 +1,7 @@
 //! # ftqs-bench — experiment harness for the DATE 2008 reproduction
 //!
 //! Shared machinery for the experiment binaries (`fig9a`, `fig9b`,
-//! `table1`, `cruise`) and the criterion benches: building the three
+//! `table1`, `cruise`) and the `bench_*` binaries: building the three
 //! schedulers under comparison (FTQS / FTSS / FTSF) for a workload,
 //! evaluating them over identical Monte Carlo scenarios, and printing the
 //! paper's tables.
@@ -27,15 +27,13 @@
 //!   coefficients), so the synthesis inner loops allocate nothing.
 //! * **Parallel layers** — FTQS sub-schedule generation and per-arc
 //!   interval sweeps, plus Monte Carlo scenario batches in `ftqs-sim`, run
-//!   on scoped worker threads behind the `parallel` feature (on by
-//!   default), with results bit-identical to the serial path.
+//!   on scoped worker threads sized by the host's CPU count and the
+//!   request's cap, with results bit-identical to the serial path.
 //!
 //! The pre-optimization algorithms are preserved verbatim in
 //! `ftqs_core::oracle`; `bench_synthesis` times both and writes
 //! `BENCH_synthesis.json` (median ns and speedups at 10/20/40 processes)
-//! so the performance trajectory is tracked across PRs. The criterion
-//! benches `ftss_runtime`/`tree_runtime` include `*_reference` groups
-//! measuring the same baselines.
+//! so the performance trajectory is tracked across PRs.
 
 #![warn(missing_docs)]
 

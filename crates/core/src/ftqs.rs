@@ -34,8 +34,9 @@
 //! sub-schedule. [`ExpansionStats`] in the synthesis report counts
 //! snapshots, restores, and prefix steps saved vs. re-derived.
 //!
-//! The two embarrassingly parallel layers run on scoped worker threads
-//! (`parallel` feature, on by default; see [`crate::par`]):
+//! The two embarrassingly parallel layers run on scoped worker threads,
+//! as many as the host has CPUs up to the request's worker cap (see
+//! [`crate::par`]):
 //!
 //! * **Sub-schedule generation** — the per-pivot FTSS re-runs of one
 //!   expansion are independent of each other, so they are computed in

@@ -9,8 +9,8 @@
 //!
 //! * `f(state, i)` is called exactly once for every `i in 0..count`,
 //! * the result vector is ordered by `i` regardless of thread count,
-//! * with the `parallel` feature disabled (or a single-CPU host, or tiny
-//!   inputs) the calls happen inline on the caller's thread.
+//! * on a single-CPU host, under a worker cap of 1, or for tiny inputs
+//!   the calls happen inline on the caller's thread.
 //!
 //! Each worker owns a contiguous index chunk, so outputs are collected
 //! without locks and the work distribution is deterministic.
@@ -119,12 +119,11 @@ where
     out
 }
 
-/// How many workers to use for `count` items: 1 unless the `parallel`
-/// feature is on, the host has multiple CPUs, and the input is big enough
-/// to amortize thread spawns. Respects the per-request cap installed by
-/// [`with_max_workers`].
+/// How many workers to use for `count` items: 1 unless the host has
+/// multiple CPUs and there are at least two items. Respects the
+/// per-request cap installed by [`with_max_workers`].
 fn worker_count(count: usize) -> usize {
-    if !cfg!(feature = "parallel") || count < 2 {
+    if count < 2 {
         return 1;
     }
     let available = std::thread::available_parallelism().map_or(1, usize::from);

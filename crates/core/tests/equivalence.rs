@@ -213,34 +213,38 @@ fn deep_trees_match_reference() {
     // tree comparison also pins the batched, segmented interval sweep:
     // every arc the oracle's per-sample scalar sweep keeps (and its exact
     // interval bounds) must come out bit-identical from the
-    // compiled-utility grid evaluation.
+    // compiled-utility grid evaluation. Each budget is synthesized at the
+    // default worker cap and at a cap of 1, where one worker's checkpoint
+    // cursor advances across every pivot of each expanded parent.
     let corpus = schedulable_corpus(20);
     let mut session = Engine::new().session();
     for (seed, app) in corpus.iter().take(10) {
         for budget in [16usize, 24, 40] {
-            let fast = session
-                .synthesize(app, &SynthesisRequest::ftqs(budget))
-                .expect("corpus is schedulable");
             let slow = ftqs_reference(app, &FtqsConfig::with_budget(budget))
                 .expect("corpus is schedulable");
-            assert_trees_equal(
-                &fast.tree,
-                &slow,
-                &format!("seed {seed} budget {budget} (engine vs oracle)"),
-            );
-            // Checkpoint accounting: one snapshot per expanded parent and
-            // one restore per pivot.
-            if fast.tree.len() > 1 {
-                let stats = fast.stats.expansion;
-                assert!(stats.snapshots >= 1, "seed {seed} budget {budget}");
-                assert!(
-                    stats.restores >= fast.tree.len() - 1,
-                    "seed {seed} budget {budget}: every kept child was restored"
-                );
-                assert_eq!(
-                    stats.restores, stats.prefix_steps_rerun,
-                    "seed {seed}: each restore re-derives exactly one prefix step"
-                );
+            for (workers, request) in [
+                ("default", SynthesisRequest::ftqs(budget)),
+                ("1", SynthesisRequest::ftqs(budget).with_max_parallelism(1)),
+            ] {
+                let fast = session
+                    .synthesize(app, &request)
+                    .expect("corpus is schedulable");
+                let case = format!("seed {seed} budget {budget} workers {workers}");
+                assert_trees_equal(&fast.tree, &slow, &format!("{case} (engine vs oracle)"));
+                // Checkpoint accounting: one snapshot per expanded parent
+                // and one restore per pivot.
+                if fast.tree.len() > 1 {
+                    let stats = fast.stats.expansion;
+                    assert!(stats.snapshots >= 1, "{case}");
+                    assert!(
+                        stats.restores >= fast.tree.len() - 1,
+                        "{case}: every kept child was restored"
+                    );
+                    assert_eq!(
+                        stats.restores, stats.prefix_steps_rerun,
+                        "{case}: each restore re-derives exactly one prefix step"
+                    );
+                }
             }
         }
     }

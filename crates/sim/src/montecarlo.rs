@@ -4,8 +4,7 @@
 //! execution scenarios per fault count (0, 1, 2, 3 faults) and reports the
 //! average utility (§6). [`MonteCarlo`] reproduces that harness, replaying
 //! identical scenarios against every scheduler under comparison and
-//! splitting scenario batches across scoped worker threads (enabled by the
-//! `parallel` feature, on by default).
+//! splitting scenario batches across scoped worker threads.
 //!
 //! Results are independent of the thread count: scenario `i` derives its
 //! seed from `(base_seed, i)` alone (see [`scenario_seed`]), and
@@ -41,8 +40,8 @@ pub struct MonteCarlo {
     pub scenarios: usize,
     /// Base RNG seed; scenario `i` derives its own deterministic stream.
     pub seed: u64,
-    /// Number of worker threads (1 = sequential). Ignored (forced to 1)
-    /// when the `parallel` feature is disabled.
+    /// Number of worker threads (1 = sequential); capped at the scenario
+    /// count.
     pub threads: usize,
 }
 
@@ -57,11 +56,7 @@ impl Default for MonteCarlo {
 }
 
 fn available_threads() -> usize {
-    if cfg!(feature = "parallel") {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        1
-    }
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// Aggregated outcome of one evaluation run.
@@ -231,14 +226,9 @@ impl MonteCarlo {
     }
 }
 
-/// Clamp the requested thread count to something useful; the `parallel`
-/// feature gate forces serial execution when disabled.
+/// Clamp the requested thread count to between 1 and the scenario count.
 pub(crate) fn effective_threads(requested: usize, scenarios: usize) -> usize {
-    if cfg!(feature = "parallel") {
-        requested.max(1).min(scenarios.max(1))
-    } else {
-        1
-    }
+    requested.max(1).min(scenarios.max(1))
 }
 
 /// SplitMix64-style mixing so per-scenario seeds are decorrelated.

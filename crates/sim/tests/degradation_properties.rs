@@ -10,9 +10,7 @@
 //!   sampler plumbing.
 //! * **Out-of-model**: scenarios planning up to `2k` faults and WCET
 //!   overruns always simulate to completion with a `DegradationVerdict`
-//!   — no panics — for all three policies and the greedy baseline, under
-//!   both feature configurations (CI runs this file with and without
-//!   `parallel`).
+//!   — no panics — for all three policies and the greedy baseline.
 //!
 //! Plus the bit-identity pins: the default independent-uniform model must
 //! reproduce the historical sampler exactly (scenario digests and Monte

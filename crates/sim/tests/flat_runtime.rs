@@ -5,9 +5,6 @@
 //! (FTQS/FTSS/FTSF) × all fault-model presets × in- and out-of-model
 //! intensities. Plus the batching contracts: thread-count invariance and
 //! common-random-numbers behaviour of the sweep evaluators.
-//!
-//! This suite runs in both feature configurations (the CI serial job
-//! re-runs it with `--no-default-features`).
 
 use ftqs_core::{Application, Engine, QuasiStaticTree, SynthesisRequest};
 use ftqs_sim::{

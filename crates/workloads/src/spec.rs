@@ -539,6 +539,28 @@ mod tests {
     }
 
     #[test]
+    fn fault_budget_above_the_cap_fails_to_build() {
+        // Synthesis work grows quadratically in k: at k = 30000 this
+        // two-process spec would take seconds to synthesize.
+        let hostile = "period 100000000\nfaults 30000 0\n\
+                       process A hard 1 1 deadline 100000000\n\
+                       process B soft 1 1 utility 10\nedge A B\n";
+        let e = parse(hostile).unwrap_err();
+        assert!(e.message.contains("fault budget k = 30000"), "{e}");
+        // Every preset family and the cruise controller stay accepted
+        // through a render/parse round trip.
+        let mut apps: Vec<_> = crate::family::Family::ALL
+            .iter()
+            .map(|&f| crate::family::build(f, 50, 7))
+            .collect();
+        apps.push(crate::cruise::cruise_controller().unwrap());
+        for app in &apps {
+            assert!(app.faults().k <= 3);
+            parse(&render(app)).unwrap();
+        }
+    }
+
+    #[test]
     fn parsed_spec_is_schedulable_end_to_end() {
         let app = parse(FIG1_SPEC).unwrap();
         let s = ftss_schedule(&app).unwrap();
