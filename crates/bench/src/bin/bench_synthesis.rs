@@ -6,13 +6,17 @@
 //! nanoseconds plus speedup factors as JSON. Future PRs regenerate the
 //! file on the same machine to track the performance trajectory.
 //!
-//! Schema `ftqs-bench-synthesis/7`: every FTQS row carries its `budget`
+//! Schema `ftqs-bench-synthesis/8`: every FTQS row carries its `budget`
 //! and is measured twice — once at the base budget (default 16) and once
 //! at budget 40, so deep trees with many pivots per parent are tracked
 //! alongside the shallow default. Oracle baselines are measured at the
 //! base budget only (the reference implementation is orders of magnitude
 //! slower on deep trees). `host_threads` is the host's available
-//! parallelism, which is also the FTQS worker count.
+//! parallelism, which is also the FTQS worker count. Each FTQS row is
+//! timed at that default worker cap (`optimized_median_ns`) and at
+//! `with_max_parallelism(1)` (`serial_median_ns`), with the two timings'
+//! reps interleaved; `par_speedup` is serial over default, so it shows
+//! what the fork-join of expansion waves and interval sweeps buys.
 //!
 //! Two ablations ride along:
 //!
@@ -25,7 +29,8 @@
 //!   `FtssConfig::dropping` off, timed and with its expected utility next
 //!   to the `ftss` row's.
 //!
-//! Timed rows are comparable with those of `/6` files.
+//! Timed rows are comparable with those of `/7` files, which lack the
+//! serial column.
 //!
 //! Usage: `cargo run --release -p ftqs-bench --bin bench_synthesis
 //! [--out PATH] [--reps N] [--budget M] [--skip-baseline] [--smoke]`
@@ -48,18 +53,35 @@ use std::time::Instant;
 const SIZES: [usize; 3] = [10, 20, 40];
 const DEEP_BUDGET: usize = 40;
 
+fn median(mut samples: Vec<u128>) -> u128 {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+fn time_ns(run: impl FnOnce()) -> u128 {
+    let t0 = Instant::now();
+    run();
+    t0.elapsed().as_nanos()
+}
+
 fn median_ns(reps: usize, mut run: impl FnMut()) -> u128 {
     // Warm-up pass, then `reps` timed passes.
     run();
-    let mut samples: Vec<u128> = (0..reps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            run();
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    median((0..reps.max(1)).map(|_| time_ns(&mut run)).collect())
+}
+
+/// Medians of `run(inputs[0])` and `run(inputs[1])`, one warm-up each,
+/// then `reps` timed passes each with the two interleaved, so both
+/// timings see the same host drift.
+fn paired_median_ns<I>(reps: usize, inputs: [&I; 2], mut run: impl FnMut(&I)) -> [u128; 2] {
+    inputs.iter().for_each(|input| run(input));
+    let mut samples = [Vec::new(), Vec::new()];
+    for _ in 0..reps.max(1) {
+        for (input, timed) in inputs.iter().zip(&mut samples) {
+            timed.push(time_ns(|| run(input)));
+        }
+    }
+    samples.map(median)
 }
 
 struct Row {
@@ -67,6 +89,8 @@ struct Row {
     processes: usize,
     budget: Option<usize>,
     optimized_ns: u128,
+    /// The same synthesis at a worker cap of 1 (FTQS rows only).
+    serial_ns: Option<u128>,
     baseline_ns: Option<u128>,
     expected_utility: Option<f64>,
 }
@@ -141,6 +165,7 @@ fn main() {
             processes: size,
             budget: None,
             optimized_ns: ftss_ns,
+            serial_ns: None,
             baseline_ns: ftss_base,
             expected_utility: Some(ftss.utility.expected_average_case),
         });
@@ -168,6 +193,7 @@ fn main() {
             processes: size,
             budget: None,
             optimized_ns: no_dropping_ns,
+            serial_ns: None,
             baseline_ns: None,
             expected_utility: Some(no_dropping.utility.expected_average_case),
         });
@@ -179,9 +205,10 @@ fn main() {
 
         for &budget in budgets {
             let ftqs_req = SynthesisRequest::ftqs(budget);
+            let serial_req = SynthesisRequest::ftqs(budget).with_max_parallelism(1);
             let ftqs_cfg = FtqsConfig::with_budget(budget);
-            let ftqs_ns = median_ns(reps, || {
-                session.synthesize(&app, &ftqs_req).expect("schedulable");
+            let [ftqs_ns, serial_ns] = paired_median_ns(reps, [&ftqs_req, &serial_req], |req| {
+                session.synthesize(&app, req).expect("schedulable");
             });
             // Baselines only at the base budget: the oracle re-derives the
             // whole tree per pivot and deep budgets would take minutes.
@@ -198,11 +225,14 @@ fn main() {
                 processes: size,
                 budget: Some(budget),
                 optimized_ns: ftqs_ns,
+                serial_ns: Some(serial_ns),
                 baseline_ns: ftqs_base,
                 expected_utility: None,
             });
             eprintln!(
-                "ftqs/{size}/b{budget}: optimized {ftqs_ns} ns{}",
+                "ftqs/{size}/b{budget}: optimized {ftqs_ns} ns, serial {serial_ns} ns \
+                 (par speedup {:.2}x){}",
+                serial_ns as f64 / ftqs_ns.max(1) as f64,
                 match ftqs_base {
                     Some(b) => format!(
                         ", baseline {b} ns, speedup {:.2}x",
@@ -215,7 +245,7 @@ fn main() {
     }
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"ftqs-bench-synthesis/7\",");
+    let _ = writeln!(json, "  \"schema\": \"ftqs-bench-synthesis/8\",");
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"ftqs_budget\": {base_budget},");
     let _ = writeln!(
@@ -239,6 +269,13 @@ fn main() {
             let _ = write!(json, ", \"budget\": {b}");
         }
         let _ = write!(json, ", \"optimized_median_ns\": {}", r.optimized_ns);
+        if let Some(s) = r.serial_ns {
+            let _ = write!(
+                json,
+                ", \"serial_median_ns\": {s}, \"par_speedup\": {:.2}",
+                s as f64 / r.optimized_ns.max(1) as f64
+            );
+        }
         if let Some(b) = r.baseline_ns {
             let _ = write!(
                 json,

@@ -41,14 +41,17 @@
 //! * **Sub-schedule generation** — the per-pivot FTSS re-runs of one
 //!   expansion are independent of each other, so they are computed in
 //!   budget-sized waves via [`par::par_map_collect_with`] and committed in
-//!   pivot order, reproducing the serial budget cutoff exactly. Every
-//!   worker owns a *private* checkpoint copy (a [`crate::ftss`]
-//!   `PrefixCursor`) advanced over its contiguous pivot chunk, so
-//!   checkpoints never leak across waves or workers.
+//!   pivot order, reproducing the serial budget cutoff exactly. Workers
+//!   claim pivots one at a time (early pivots re-schedule the longest
+//!   suffixes, so equal chunks would not balance), each in ascending
+//!   order. Every worker owns a *private* checkpoint copy (a
+//!   [`crate::ftss`] `PrefixCursor`) advanced forward over the pivots it
+//!   claims, so checkpoints never leak across waves or workers.
 //! * **Interval partitioning** — each arc's utility sweep reads only its
 //!   own parent/child schedules, so all arcs are swept concurrently, each
-//!   worker owning one set of sweep buffers (the session scratch seeds
-//!   the first; see [`par::par_map_collect_seeded`]).
+//!   worker claiming arcs one at a time and owning one set of sweep
+//!   buffers (the session scratch serves the calling thread's claims; see
+//!   [`par::par_map_collect_seeded`]).
 //!
 //! Interval partitioning itself is **batched and segmented** rather than
 //! per-sample. The scalar formulation evaluates up to `interval_samples ×
@@ -118,10 +121,11 @@ pub enum ExpansionPolicy {
 /// The prefix-step counters describe the **idealized serial expansion
 /// schedule** — one cursor advancing monotonically over a parent's pivots
 /// — which makes them deterministic at any worker count. Parallel waves
-/// perform a bounded amount of extra cursor catch-up (each worker chunk
-/// and each new wave re-advances its private cursor to its first pivot)
-/// that is deliberately *not* charged here: the counters compare
-/// algorithmic schedules, not thread-level work.
+/// perform a bounded amount of extra cursor catch-up (each worker
+/// re-advances its private cursor over the pivots other workers claimed,
+/// and each new wave starts fresh cursors) that is deliberately *not*
+/// charged here: the counters compare algorithmic schedules, not
+/// thread-level work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExpansionStats {
     /// Committed-prefix snapshots captured (one per expanded parent with
@@ -526,8 +530,8 @@ impl<'a, 's> TreeBuilder<'a, 's> {
     /// one entry; `None` when the suffix is infeasible from the optimistic
     /// start or the child collapses onto the parent's own suffix. Pure with
     /// respect to the node list — safe to run for several positions
-    /// concurrently (workers receive contiguous ascending pivot chunks; see
-    /// [`crate::par`]).
+    /// concurrently (each worker claims pivots in ascending order, though
+    /// not contiguously; see [`crate::par`]).
     fn build_child(
         &self,
         parent_entries: &[crate::fschedule::ScheduleEntry],
@@ -580,8 +584,8 @@ impl<'a, 's> TreeBuilder<'a, 's> {
     /// cost of large-budget synthesis — run across all nodes in parallel.
     /// The per-process compiled utility tables are built once and shared
     /// read-only; the sweep buffers come from the session scratch (serial
-    /// path and first worker) or once per extra worker, so the sweeps
-    /// allocate nothing per arc.
+    /// path and the calling thread's claims) or once per spawned worker, so
+    /// the sweeps allocate nothing per arc.
     fn partition_intervals(&mut self) {
         let n = self.nodes.len();
         if n <= 1 {

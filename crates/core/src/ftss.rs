@@ -577,9 +577,10 @@ pub(crate) struct PrefixCheckpoint {
 /// entry-free, so each pivot's run restores from it in one O(n) copy
 /// instead of re-deriving the context from scratch.
 ///
-/// Cursors only ever move forward; the parallel expansion waves hand each
-/// worker contiguous ascending pivot indices (see [`crate::par`]), which
-/// is exactly the access pattern the cursor supports.
+/// Cursors only ever move forward; in the parallel expansion waves each
+/// worker claims pivot indices in strictly ascending order (see
+/// [`crate::par`]), skipping the ones other workers claimed, and
+/// [`PrefixCursor::advance_to`] absorbs every skipped entry on the way.
 #[derive(Debug)]
 pub(crate) struct PrefixCursor {
     checkpoint: PrefixCheckpoint,
