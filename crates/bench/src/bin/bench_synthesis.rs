@@ -108,10 +108,7 @@ fn main() {
     // oracle reference functions.
     let mut session = Engine::new().session();
     let mut no_dropping_session = Engine::new()
-        .with_ftss_config(FtssConfig {
-            dropping: false,
-            ..FtssConfig::default()
-        })
+        .with_ftss_config(FtssConfig { dropping: false })
         .session();
     let ftss_req = SynthesisRequest::ftss();
     let ftss_cfg = FtssConfig::default();

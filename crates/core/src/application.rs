@@ -52,6 +52,8 @@ pub enum ApplicationError {
     DeadlineBeyondPeriod {
         /// Offending process.
         process: NodeId,
+        /// Its name.
+        name: String,
         /// Its deadline.
         deadline: Time,
         /// The application period.
@@ -62,6 +64,12 @@ pub enum ApplicationError {
     /// faults — or some per-process recovery penalty `wcet + µ` does not
     /// fit the millisecond range of [`Time`].
     HorizonOverflow,
+    /// The soft processes' utility peaks sum to more than
+    /// [`Application::MAX_TOTAL_UTILITY`].
+    UtilityOverflow {
+        /// The sum of the soft processes' peak utilities.
+        total: f64,
+    },
     /// The fault budget `k` exceeds [`FaultModel::MAX_K`].
     TooManyFaults {
         /// The requested fault budget.
@@ -77,16 +85,22 @@ impl fmt::Display for ApplicationError {
             ApplicationError::Empty => write!(f, "application has no processes"),
             ApplicationError::ZeroPeriod => write!(f, "application period must be positive"),
             ApplicationError::DeadlineBeyondPeriod {
-                process,
+                name,
                 deadline,
                 period,
+                ..
             } => write!(
                 f,
-                "deadline {deadline} of process {process} exceeds period {period}"
+                "deadline {deadline} of process {name} exceeds period {period}"
             ),
             ApplicationError::HorizonOverflow => write!(
                 f,
                 "worst-case horizon (k+1)·ΣWCET + k·max µ overflows the time range"
+            ),
+            ApplicationError::UtilityOverflow { total } => write!(
+                f,
+                "total soft utility {total:e} overflows the utility range (at most {:e})",
+                Application::MAX_TOTAL_UTILITY
             ),
             ApplicationError::TooManyFaults { k } => write!(
                 f,
@@ -152,6 +166,14 @@ pub struct Application {
 }
 
 impl Application {
+    /// The largest sum of the soft processes' peak utilities an
+    /// application may declare. No cycle earns more than this sum, so
+    /// every utility total, mean and deviation stays below it. The Monte
+    /// Carlo statistics multiply a squared deviation by two partial sample
+    /// counts (Chan's merge); a cap far below `sqrt(f64::MAX)` ≈ 1.3e154
+    /// keeps that product finite for any realistic sample count.
+    pub const MAX_TOTAL_UTILITY: f64 = 1e100;
+
     /// Starts building an application with the given period and fault model.
     #[must_use]
     pub fn builder(period: Time, faults: FaultModel) -> ApplicationBuilder {
@@ -325,6 +347,8 @@ impl ApplicationBuilder {
     ///   beyond the period.
     /// * [`ApplicationError::HorizonOverflow`] if the worst-case horizon
     ///   or a recovery penalty overflows [`Time`].
+    /// * [`ApplicationError::UtilityOverflow`] if the soft processes' peak
+    ///   utilities sum to more than [`Application::MAX_TOTAL_UTILITY`].
     /// * [`ApplicationError::TooManyFaults`] if `k` exceeds
     ///   [`FaultModel::MAX_K`].
     pub fn build(self) -> Result<Application, ApplicationError> {
@@ -339,6 +363,7 @@ impl ApplicationBuilder {
                 if d > self.period {
                     return Err(ApplicationError::DeadlineBeyondPeriod {
                         process: n,
+                        name: self.graph.payload(n).name().to_string(),
                         deadline: d,
                         period: self.period,
                     });
@@ -350,6 +375,15 @@ impl ApplicationBuilder {
         // here keeps the guarantee sound on every accepted input.
         if self.horizon_ms().is_none() {
             return Err(ApplicationError::HorizonOverflow);
+        }
+        let total: f64 = self
+            .graph
+            .nodes()
+            .filter_map(|n| self.graph.payload(n).criticality().utility())
+            .map(crate::UtilityFunction::peak)
+            .sum();
+        if total > Application::MAX_TOTAL_UTILITY {
+            return Err(ApplicationError::UtilityOverflow { total });
         }
         if self.faults.k > FaultModel::MAX_K {
             return Err(ApplicationError::TooManyFaults { k: self.faults.k });
@@ -432,10 +466,40 @@ mod tests {
     fn deadline_beyond_period_is_rejected() {
         let mut b = Application::builder(t(100), FaultModel::none());
         b.add_hard("P", et(1, 2), t(150));
-        assert!(matches!(
-            b.build(),
-            Err(ApplicationError::DeadlineBeyondPeriod { .. })
-        ));
+        let err = b.build().unwrap_err();
+        assert!(
+            matches!(&err, ApplicationError::DeadlineBeyondPeriod { name, .. } if name == "P"),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("of process P exceeds"), "{err}");
+    }
+
+    #[test]
+    fn total_utility_above_the_cap_is_rejected() {
+        let with_peaks = |peaks: &[f64]| {
+            let mut b = Application::builder(t(100), FaultModel::none());
+            b.add_hard("H", et(1, 2), t(100));
+            for (i, &peak) in peaks.iter().enumerate() {
+                b.add_soft(
+                    format!("S{i}"),
+                    et(1, 2),
+                    UtilityFunction::step(peak, [(t(50), 0.0)]).unwrap(),
+                );
+            }
+            b.build()
+        };
+        let cap = Application::MAX_TOTAL_UTILITY;
+        assert!(with_peaks(&[cap]).is_ok());
+        assert!(with_peaks(&[cap / 2.0, cap / 2.0]).is_ok());
+        // Past the cap, including sums of finite peaks that overflow f64.
+        for peaks in [&[1e308, 1e308][..], &[cap, cap], &[cap * 1.5]] {
+            let err = with_peaks(peaks).unwrap_err();
+            assert!(
+                matches!(err, ApplicationError::UtilityOverflow { total } if total > cap),
+                "{peaks:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("utility"), "{err}");
+        }
     }
 
     #[test]

@@ -9,18 +9,17 @@
 //! front door that fixes that:
 //!
 //! * An [`Engine`] holds the synthesis configuration shared by many runs
-//!   (FTSS tuning, FTQS expansion policy, sweep resolution, utility
-//!   estimator, validation posture). It is cheap, immutable, and
-//!   shareable.
+//!   (the FTSS configuration and the validation posture). It is cheap,
+//!   immutable, and shareable.
 //! * A [`Session`] (from [`Engine::session`]) owns the synthesis
 //!   scratch buffers and is reused call-to-call, amortizing
 //!   the synthesis allocations across whole batch runs instead of per
 //!   run.
 //! * A [`SynthesisRequest`] names the policy
 //!   ([`SynthesisPolicy::Ftss`] / [`SynthesisPolicy::Ftqs`] /
-//!   [`SynthesisPolicy::Ftsf`]) plus per-request overrides: expansion
-//!   policy, sweep samples, estimator, a process-count limit, and a
-//!   parallelism cap.
+//!   [`SynthesisPolicy::Ftsf`]) plus per-request settings: the FTQS
+//!   expansion policy, a validation override, a process-count limit, and
+//!   a parallelism cap.
 //! * Every policy returns the same structured, serializable
 //!   [`SynthesisReport`] — the tree (single-node for FTSS/FTSF), tree
 //!   statistics, expected utility, dropped-process accounting, and
@@ -58,7 +57,7 @@
 //! ```
 
 use crate::digest::{application_digest, ContentDigest, Hasher};
-use crate::fschedule::{CompiledUtilities, UtilityEstimator};
+use crate::fschedule::CompiledUtilities;
 use crate::ftqs::{ftqs_prepared, ftqs_with, ExpansionPolicy, ExpansionStats, FtqsConfig};
 use crate::ftsf::ftsf_with;
 use crate::ftss::{ftss_from_context, ftss_with, AppModel, FtssConfig, SynthesisScratch};
@@ -87,28 +86,13 @@ pub enum SynthesisPolicy {
 }
 
 /// Shared synthesis configuration — create once, spawn [`Session`]s per
-/// worker/batch. All knobs default to the paper-faithful settings of
-/// [`FtqsConfig::default`].
-#[derive(Debug, Clone, PartialEq)]
+/// worker/batch. Two knobs: the FTSS configuration
+/// ([`Engine::with_ftss_config`], the paper's heuristic by default) and
+/// structural validation ([`Engine::with_validation`], off by default).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Engine {
     ftss: FtssConfig,
-    expansion: ExpansionPolicy,
-    interval_samples: u32,
-    estimator: UtilityEstimator,
     validate: bool,
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        let d = FtqsConfig::default();
-        Engine {
-            ftss: d.ftss,
-            expansion: d.policy,
-            interval_samples: d.interval_samples,
-            estimator: d.estimator,
-            validate: false,
-        }
-    }
 }
 
 impl Engine {
@@ -122,27 +106,6 @@ impl Engine {
     #[must_use]
     pub fn with_ftss_config(mut self, ftss: FtssConfig) -> Self {
         self.ftss = ftss;
-        self
-    }
-
-    /// Sets the default FTQS expansion policy.
-    #[must_use]
-    pub fn with_expansion_policy(mut self, policy: ExpansionPolicy) -> Self {
-        self.expansion = policy;
-        self
-    }
-
-    /// Sets the default interval-partitioning sample count.
-    #[must_use]
-    pub fn with_interval_samples(mut self, samples: u32) -> Self {
-        self.interval_samples = samples;
-        self
-    }
-
-    /// Sets the default suffix-utility estimator.
-    #[must_use]
-    pub fn with_estimator(mut self, estimator: UtilityEstimator) -> Self {
-        self.estimator = estimator;
         self
     }
 
@@ -173,9 +136,7 @@ impl Engine {
     fn ftqs_config(&self, budget: usize, request: &SynthesisRequest) -> FtqsConfig {
         FtqsConfig {
             max_schedules: budget,
-            policy: request.expansion.unwrap_or(self.expansion),
-            interval_samples: request.interval_samples.unwrap_or(self.interval_samples),
-            estimator: request.estimator.unwrap_or(self.estimator),
+            policy: request.expansion,
             ftss: self.ftss.clone(),
         }
     }
@@ -188,56 +149,24 @@ impl Engine {
     #[must_use]
     pub fn config_digest(&self) -> ContentDigest {
         let mut h = Hasher::new();
-        digest_ftss(&mut h, &self.ftss);
-        digest_expansion(&mut h, self.expansion);
-        h.write_u64(u64::from(self.interval_samples));
-        digest_estimator(&mut h, self.estimator);
+        h.write_u8(u8::from(self.ftss.dropping));
         h.write_u8(u8::from(self.validate));
         h.finish()
     }
 }
 
-fn digest_ftss(h: &mut Hasher, ftss: &FtssConfig) {
-    h.write_u8(u8::from(ftss.dropping));
-    h.write_u8(u8::from(ftss.soft_reexecution));
-    h.write_f64(ftss.successor_weight);
-}
-
-fn digest_expansion(h: &mut Hasher, policy: ExpansionPolicy) {
-    h.write_u8(match policy {
-        ExpansionPolicy::MostSimilar => 0,
-        ExpansionPolicy::Fifo => 1,
-        ExpansionPolicy::BestImprovement => 2,
-    });
-}
-
-fn digest_estimator(h: &mut Hasher, estimator: UtilityEstimator) {
-    h.write_u8(match estimator {
-        UtilityEstimator::AverageCase => 0,
-        UtilityEstimator::Quantile3 => 1,
-    });
-}
-
-fn digest_option<T>(h: &mut Hasher, v: Option<T>, f: impl FnOnce(&mut Hasher, T)) {
-    match v {
-        None => h.write_u8(0),
-        Some(v) => {
-            h.write_u8(1);
-            f(h, v);
-        }
-    }
-}
-
-/// One synthesis call: the policy plus per-request overrides and limits.
+/// One synthesis call: the policy plus per-request settings and limits.
 ///
 /// Build with [`SynthesisRequest::ftss`] / [`SynthesisRequest::ftqs`] /
-/// [`SynthesisRequest::ftsf`] and chain `with_*` overrides.
+/// [`SynthesisRequest::ftsf`] and chain `with_*` settings: the FTQS
+/// expansion policy ([`SynthesisRequest::with_expansion_policy`]), a
+/// validation override ([`SynthesisRequest::with_validation`]), a
+/// process-count limit ([`SynthesisRequest::with_max_processes`]) and a
+/// worker cap ([`SynthesisRequest::with_max_parallelism`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisRequest {
     policy: SynthesisPolicy,
-    expansion: Option<ExpansionPolicy>,
-    interval_samples: Option<u32>,
-    estimator: Option<UtilityEstimator>,
+    expansion: ExpansionPolicy,
     validate: Option<bool>,
     max_processes: Option<usize>,
     max_parallelism: Option<usize>,
@@ -249,9 +178,7 @@ impl SynthesisRequest {
     pub fn new(policy: SynthesisPolicy) -> Self {
         SynthesisRequest {
             policy,
-            expansion: None,
-            interval_samples: None,
-            estimator: None,
+            expansion: ExpansionPolicy::MostSimilar,
             validate: None,
             max_processes: None,
             max_parallelism: None,
@@ -282,24 +209,11 @@ impl SynthesisRequest {
         self.policy
     }
 
-    /// Overrides the engine's FTQS expansion policy for this request.
+    /// Sets the FTQS expansion policy ([`ExpansionPolicy::MostSimilar`]
+    /// by default).
     #[must_use]
     pub fn with_expansion_policy(mut self, policy: ExpansionPolicy) -> Self {
-        self.expansion = Some(policy);
-        self
-    }
-
-    /// Overrides the engine's interval-partitioning sample count.
-    #[must_use]
-    pub fn with_interval_samples(mut self, samples: u32) -> Self {
-        self.interval_samples = Some(samples);
-        self
-    }
-
-    /// Overrides the engine's suffix-utility estimator.
-    #[must_use]
-    pub fn with_estimator(mut self, estimator: UtilityEstimator) -> Self {
-        self.estimator = Some(estimator);
+        self.expansion = policy;
         self
     }
 
@@ -346,11 +260,11 @@ impl SynthesisRequest {
     }
 
     /// Stable content digest of every request knob that can influence the
-    /// synthesized artifact: the policy (including the FTQS budget) and
-    /// the per-request overrides. `max_processes` and `max_parallelism`
-    /// are deliberately excluded — the former only gates acceptance and
-    /// the latter is bit-identical at any setting — so requests differing
-    /// only in those limits share a cache key.
+    /// synthesized artifact: the policy (including the FTQS budget), the
+    /// expansion policy and the validation override. `max_processes` and
+    /// `max_parallelism` are deliberately excluded — the former only gates
+    /// acceptance and the latter is bit-identical at any setting — so
+    /// requests differing only in those limits share a cache key.
     #[must_use]
     pub fn knob_digest(&self) -> ContentDigest {
         let mut h = Hasher::new();
@@ -362,12 +276,16 @@ impl SynthesisRequest {
             }
             SynthesisPolicy::Ftsf => h.write_u8(2),
         }
-        digest_option(&mut h, self.expansion, digest_expansion);
-        digest_option(&mut h, self.interval_samples, |h, v| {
-            h.write_u64(u64::from(v));
+        h.write_u8(match self.expansion {
+            ExpansionPolicy::MostSimilar => 0,
+            ExpansionPolicy::Fifo => 1,
+            ExpansionPolicy::BestImprovement => 2,
         });
-        digest_option(&mut h, self.estimator, digest_estimator);
-        digest_option(&mut h, self.validate, |h, v| h.write_u8(u8::from(v)));
+        h.write_u8(match self.validate {
+            None => 0,
+            Some(false) => 1,
+            Some(true) => 2,
+        });
         h.finish()
     }
 }
@@ -500,18 +418,6 @@ impl Session {
                     "FTQS needs a schedule budget of at least one schedule",
                 ));
             }
-            // A zero sample count would make the sweep-step division
-            // `range / samples` panic inside interval partitioning; reject
-            // it up front where the knob is set.
-            if request
-                .interval_samples
-                .unwrap_or(self.engine.interval_samples)
-                == 0
-            {
-                return Err(Error::invalid_request(
-                    "FTQS interval partitioning needs at least one completion-time sample per arc",
-                ));
-            }
         }
         let started = Instant::now();
         let scratch = &mut self.scratch;
@@ -559,12 +465,6 @@ impl Session {
     #[must_use]
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// The engine configuration this session synthesizes with.
-    #[must_use]
-    pub fn engine(&self) -> &Engine {
-        &self.engine
     }
 }
 
@@ -780,35 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_interval_samples_is_an_invalid_request() {
-        // Regression: a zero sample count used to reach the sweep-step
-        // division `range / samples` and panic inside interval
-        // partitioning. Both the request override and the engine default
-        // must be rejected up front.
-        let app = fig1_app();
-        let mut session = Engine::new().session();
-        let err = session
-            .synthesize(&app, &SynthesisRequest::ftqs(4).with_interval_samples(0))
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidRequest { .. }));
-        assert!(err.to_string().contains("sample"));
-
-        let mut bad_default = Engine::new().with_interval_samples(0).session();
-        let err = bad_default
-            .synthesize(&app, &SynthesisRequest::ftqs(4))
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidRequest { .. }));
-        // A request override can still rescue a bad engine default, and
-        // FTSS/FTSF never sweep, so the knob does not apply to them.
-        assert!(bad_default
-            .synthesize(&app, &SynthesisRequest::ftqs(4).with_interval_samples(1))
-            .is_ok());
-        assert!(bad_default
-            .synthesize(&app, &SynthesisRequest::ftss())
-            .is_ok());
-    }
-
-    #[test]
     fn degenerate_all_dropped_tree_is_a_scheduling_error() {
         // Every process is soft and worthless: FTSS statically drops them
         // all, the root schedule is empty, and the expansion loop has no
@@ -921,7 +792,8 @@ mod tests {
 
     #[test]
     fn knob_digests_separate_what_matters_and_ignore_what_does_not() {
-        // Policy, budget and overrides steer synthesis: distinct digests.
+        // Policy, budget, expansion policy and validation override steer
+        // synthesis: distinct digests.
         let base = SynthesisRequest::ftqs(6);
         assert_ne!(base.knob_digest(), SynthesisRequest::ftss().knob_digest());
         assert_ne!(base.knob_digest(), SynthesisRequest::ftqs(7).knob_digest());
@@ -934,7 +806,7 @@ mod tests {
         assert_ne!(
             base.knob_digest(),
             SynthesisRequest::ftqs(6)
-                .with_estimator(UtilityEstimator::AverageCase)
+                .with_validation(true)
                 .knob_digest()
         );
         // Acceptance/latency limits cannot change artifact bits: same key.
@@ -949,14 +821,14 @@ mod tests {
         let engine = Engine::new();
         assert_ne!(
             engine.config_digest(),
-            engine.clone().with_interval_samples(7).config_digest()
+            engine
+                .clone()
+                .with_ftss_config(FtssConfig { dropping: false })
+                .config_digest()
         );
         assert_ne!(
             engine.config_digest(),
-            engine
-                .clone()
-                .with_expansion_policy(ExpansionPolicy::Fifo)
-                .config_digest()
+            engine.clone().with_validation(true).config_digest()
         );
         assert_eq!(engine.config_digest(), Engine::new().config_digest());
     }

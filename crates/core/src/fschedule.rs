@@ -417,27 +417,10 @@ impl ScheduleAnalysis {
     }
 }
 
-/// How [`expected_suffix_utility_est`] estimates the expected utility of a
-/// suffix under the (unknown at synthesis time) actual execution times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UtilityEstimator {
-    /// One pass with every process at its AET — the cheapest estimate, and
-    /// the literal reading of the paper ("the utility is maximized for
-    /// average execution times").
-    AverageCase,
-    /// Three passes with every process at the 25 %, 50 % and 75 % quantiles
-    /// of its uniform duration (weights ¼, ½, ¼). Step utilities make the
-    /// single-point AET estimate brittle — a completion sitting just before
-    /// a step reads the full value although nearly half the probability
-    /// mass lies beyond it; the quantile mix smooths that out at 3× cost.
-    #[default]
-    Quantile3,
-}
-
 /// Expected utility of executing `schedule`'s entries from position `from`
 /// onward, starting at time `start`, with every process at its average
-/// execution time — see [`expected_suffix_utility_est`] for the estimator
-/// variant used by FTQS interval partitioning.
+/// execution time — see [`expected_suffix_utility_est`] for the estimate
+/// FTQS compares sub-schedules with.
 ///
 /// A soft entry whose start time exceeds its
 /// [`ScheduleAnalysis::latest_start`] bound (with the full fault budget
@@ -456,7 +439,13 @@ pub fn expected_suffix_utility(
     suffix_utility_pass(app, schedule, analysis, from, start, |t| t.aet())
 }
 
-/// Estimator-parameterized variant of [`expected_suffix_utility`].
+/// The expected suffix utility FTQS compares a sub-schedule against its
+/// parent with: three passes of [`expected_suffix_utility`]'s walk with
+/// every process at the 25 %, 50 % and 75 % quantiles of its uniform
+/// duration (weights ¼, ½, ¼). Step utilities make the single-point AET
+/// estimate brittle — a completion sitting just before a step reads the
+/// full value although nearly half the probability mass lies beyond it;
+/// the quantile mix smooths that out at 3× cost.
 #[must_use]
 pub fn expected_suffix_utility_est(
     app: &Application,
@@ -464,23 +453,15 @@ pub fn expected_suffix_utility_est(
     analysis: &ScheduleAnalysis,
     from: usize,
     start: Time,
-    estimator: UtilityEstimator,
 ) -> f64 {
-    match estimator {
-        UtilityEstimator::AverageCase => {
-            expected_suffix_utility(app, schedule, analysis, from, start)
-        }
-        UtilityEstimator::Quantile3 => {
-            let q25 = suffix_utility_pass(app, schedule, analysis, from, start, |t| {
-                t.bcet().midpoint(t.aet())
-            });
-            let q50 = suffix_utility_pass(app, schedule, analysis, from, start, |t| t.aet());
-            let q75 = suffix_utility_pass(app, schedule, analysis, from, start, |t| {
-                t.aet().midpoint(t.wcet())
-            });
-            0.25 * q25 + 0.5 * q50 + 0.25 * q75
-        }
-    }
+    let q25 = suffix_utility_pass(app, schedule, analysis, from, start, |t| {
+        t.bcet().midpoint(t.aet())
+    });
+    let q50 = suffix_utility_pass(app, schedule, analysis, from, start, |t| t.aet());
+    let q75 = suffix_utility_pass(app, schedule, analysis, from, start, |t| {
+        t.aet().midpoint(t.wcet())
+    });
+    0.25 * q25 + 0.5 * q50 + 0.25 * q75
 }
 
 fn suffix_utility_pass(
@@ -616,7 +597,7 @@ struct SweepWalk {
     kept: Vec<KeptEntry>,
 }
 
-/// Per-estimator-quantile sample buffers of one sweep evaluation.
+/// Per-quantile sample buffers of one sweep evaluation.
 #[derive(Debug, Default)]
 struct QuantileBufs {
     q25: Vec<f64>,
@@ -661,7 +642,6 @@ impl SweepScratch {
         &mut self,
         app: &Application,
         compiled: &CompiledUtilities,
-        estimator: UtilityEstimator,
         lo: Time,
         hi: Time,
         step: u64,
@@ -694,7 +674,6 @@ impl SweepScratch {
             child.0,
             child.1,
             0,
-            estimator,
             &self.child_base,
             compiled,
             eval_grid,
@@ -707,7 +686,6 @@ impl SweepScratch {
             parent.0,
             parent.1,
             parent_from,
-            estimator,
             &self.parent_base,
             compiled,
             eval_grid,
@@ -727,7 +705,6 @@ fn sweep_est(
     schedule: &FSchedule,
     analysis: &ScheduleAnalysis,
     from: usize,
-    estimator: UtilityEstimator,
     base: &SuffixUtilityBase,
     compiled: &CompiledUtilities,
     grid: &[u64],
@@ -740,25 +717,20 @@ fn sweep_est(
             app, schedule, analysis, from, duration, base, compiled, grid, walk, out,
         );
     };
-    match estimator {
-        UtilityEstimator::AverageCase => pass(|t| t.aet(), out),
-        UtilityEstimator::Quantile3 => {
-            let n = grid.len();
-            quantiles.q25.clear();
-            quantiles.q25.resize(n, 0.0);
-            quantiles.q50.clear();
-            quantiles.q50.resize(n, 0.0);
-            quantiles.q75.clear();
-            quantiles.q75.resize(n, 0.0);
-            pass(|t| t.bcet().midpoint(t.aet()), &mut quantiles.q25);
-            pass(|t| t.aet(), &mut quantiles.q50);
-            pass(|t| t.aet().midpoint(t.wcet()), &mut quantiles.q75);
-            // Combined exactly as the scalar estimator combines its three
-            // passes, per sample.
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = 0.25 * quantiles.q25[i] + 0.5 * quantiles.q50[i] + 0.25 * quantiles.q75[i];
-            }
-        }
+    let n = grid.len();
+    quantiles.q25.clear();
+    quantiles.q25.resize(n, 0.0);
+    quantiles.q50.clear();
+    quantiles.q50.resize(n, 0.0);
+    quantiles.q75.clear();
+    quantiles.q75.resize(n, 0.0);
+    pass(|t| t.bcet().midpoint(t.aet()), &mut quantiles.q25);
+    pass(|t| t.aet(), &mut quantiles.q50);
+    pass(|t| t.aet().midpoint(t.wcet()), &mut quantiles.q75);
+    // Combined exactly as the scalar estimator combines its three
+    // passes, per sample.
+    for (i, slot) in out.iter_mut().enumerate() {
+        *slot = 0.25 * quantiles.q25[i] + 0.5 * quantiles.q50[i] + 0.25 * quantiles.q75[i];
     }
 }
 
@@ -1128,40 +1100,37 @@ mod tests {
         let pa = parent.analyze(&app);
         let compiled = CompiledUtilities::build(&app);
         let mut sweep = SweepScratch::default();
-        for est in [UtilityEstimator::AverageCase, UtilityEstimator::Quantile3] {
-            for step in [1u64, 7, 50] {
-                sweep.eval_arc(
-                    &app,
-                    &compiled,
-                    est,
-                    Time::from_ms(30),
-                    app.period(),
-                    step,
-                    Time::MAX,
-                    (&child, &ca),
-                    (&parent, &pa),
-                    1,
+        for step in [1u64, 7, 50] {
+            sweep.eval_arc(
+                &app,
+                &compiled,
+                Time::from_ms(30),
+                app.period(),
+                step,
+                Time::MAX,
+                (&child, &ca),
+                (&parent, &pa),
+                1,
+            );
+            assert!(sweep.grid.len() >= 2);
+            assert_eq!(*sweep.grid.last().unwrap(), app.period().as_ms());
+            assert_eq!(sweep.child_out.len(), sweep.grid.len());
+            for (i, &tc) in sweep.grid.iter().enumerate() {
+                let tc = Time::from_ms(tc);
+                let want_child = expected_suffix_utility_est(&app, &child, &ca, 0, tc);
+                let want_parent = expected_suffix_utility_est(&app, &parent, &pa, 1, tc);
+                assert_eq!(
+                    want_child.to_bits(),
+                    sweep.child_out[i].to_bits(),
+                    "step {step} tc {tc}: child {want_child} vs {}",
+                    sweep.child_out[i]
                 );
-                assert!(sweep.grid.len() >= 2);
-                assert_eq!(*sweep.grid.last().unwrap(), app.period().as_ms());
-                assert_eq!(sweep.child_out.len(), sweep.grid.len());
-                for (i, &tc) in sweep.grid.iter().enumerate() {
-                    let tc = Time::from_ms(tc);
-                    let want_child = expected_suffix_utility_est(&app, &child, &ca, 0, tc, est);
-                    let want_parent = expected_suffix_utility_est(&app, &parent, &pa, 1, tc, est);
-                    assert_eq!(
-                        want_child.to_bits(),
-                        sweep.child_out[i].to_bits(),
-                        "{est:?} step {step} tc {tc}: child {want_child} vs {}",
-                        sweep.child_out[i]
-                    );
-                    assert_eq!(
-                        want_parent.to_bits(),
-                        sweep.parent_out[i].to_bits(),
-                        "{est:?} step {step} tc {tc}: parent {want_parent} vs {}",
-                        sweep.parent_out[i]
-                    );
-                }
+                assert_eq!(
+                    want_parent.to_bits(),
+                    sweep.parent_out[i].to_bits(),
+                    "step {step} tc {tc}: parent {want_parent} vs {}",
+                    sweep.parent_out[i]
+                );
             }
         }
         // The evaluation clamp: only the grid prefix up to the bound is
@@ -1169,7 +1138,6 @@ mod tests {
         sweep.eval_arc(
             &app,
             &compiled,
-            UtilityEstimator::Quantile3,
             Time::from_ms(30),
             app.period(),
             1,

@@ -54,8 +54,8 @@
 //!   [`par::par_map_collect_seeded`]).
 //!
 //! Interval partitioning itself is **batched and segmented** rather than
-//! per-sample. The scalar formulation evaluates up to `interval_samples ×
-//! 3` (Quantile3) suffix-utility passes per arc, each pass re-walking the
+//! per-sample. The scalar formulation evaluates up to [`INTERVAL_SAMPLES`]
+//! × 3 suffix-utility passes per arc, each pass re-walking the
 //! suffix and re-interpreting every breakpoint of every soft entry's
 //! utility function. The batched sweep instead:
 //!
@@ -87,7 +87,7 @@
 
 use crate::fschedule::{
     expected_suffix_utility_est, CompiledUtilities, FSchedule, ScheduleAnalysis, ScheduleContext,
-    SweepScratch, UtilityEstimator,
+    SweepScratch,
 };
 use crate::ftss::{
     ftss_from_context, ftss_resume, AppModel, FtssConfig, PrefixCheckpoint, PrefixCursor,
@@ -142,23 +142,22 @@ pub struct ExpansionStats {
     pub prefix_steps_rerun: usize,
 }
 
-/// Configuration of the FTQS tree synthesis.
+/// Maximum number of completion-time samples per arc during interval
+/// partitioning. The sweep step is `max(1, range / INTERVAL_SAMPLES)` ms,
+/// which keeps synthesis fast with millisecond-level accuracy on the
+/// paper's time scales.
+pub const INTERVAL_SAMPLES: u32 = 256;
+
+/// Configuration of the FTQS tree synthesis: the schedule budget `M` and
+/// the expansion policy. Interval partitioning always sweeps
+/// [`INTERVAL_SAMPLES`] completion times per arc and compares suffixes
+/// with [`crate::fschedule::expected_suffix_utility_est`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FtqsConfig {
     /// Maximum number of different schedules kept in the tree (`M`).
     pub max_schedules: usize,
     /// Parent-selection policy for tree expansion.
     pub policy: ExpansionPolicy,
-    /// Maximum number of completion-time samples per arc during interval
-    /// partitioning. The sweep step is `max(1, range / samples)` ms; 256
-    /// keeps synthesis fast with millisecond-level accuracy on the paper's
-    /// time scales. Zero is rejected by the [`crate::Engine`]/
-    /// [`crate::Session`] front door as an invalid request; crate-internal
-    /// direct-config callers clamp it to one sample.
-    pub interval_samples: u32,
-    /// How the expected suffix utility is estimated when comparing a
-    /// sub-schedule against its parent (see [`UtilityEstimator`]).
-    pub estimator: UtilityEstimator,
     /// FTSS configuration used for the root and every sub-schedule.
     pub ftss: FtssConfig,
 }
@@ -168,8 +167,6 @@ impl Default for FtqsConfig {
         FtqsConfig {
             max_schedules: 16,
             policy: ExpansionPolicy::MostSimilar,
-            interval_samples: 256,
-            estimator: UtilityEstimator::default(),
             ftss: FtssConfig::default(),
         }
     }
@@ -380,10 +377,9 @@ impl<'a, 's> TreeBuilder<'a, 's> {
         let n_sched = self.sched(n);
         let p_sched = self.sched(p);
         let tc = n_sched.context().start;
-        let est = self.config.estimator;
-        let u_child = expected_suffix_utility_est(self.app, n_sched, &n.analysis, 0, tc, est);
+        let u_child = expected_suffix_utility_est(self.app, n_sched, &n.analysis, 0, tc);
         let u_parent =
-            expected_suffix_utility_est(self.app, p_sched, &p.analysis, pivot_pos + 1, tc, est);
+            expected_suffix_utility_est(self.app, p_sched, &p.analysis, pivot_pos + 1, tc);
         u_child - u_parent
     }
 
@@ -647,9 +643,7 @@ impl<'a, 's> TreeBuilder<'a, 's> {
         let child_safe = cn.analysis.hard_safe_start(0, k);
 
         let range = hi_sweep.as_ms() - lo.as_ms();
-        // `max(1)` on the sample count guards crate-internal direct-config
-        // callers; the engine rejects zero before it ever reaches here.
-        let step = (range / u64::from(self.config.interval_samples.max(1))).max(1);
+        let step = (range / u64::from(INTERVAL_SAMPLES)).max(1);
 
         // Evaluation stops at `child_safe`: later samples can never be
         // good, exactly as the scalar sweep's short-circuit never
@@ -657,7 +651,6 @@ impl<'a, 's> TreeBuilder<'a, 's> {
         sweep.eval_arc(
             app,
             compiled,
-            self.config.estimator,
             lo,
             hi_sweep,
             step,
@@ -846,20 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_interval_samples_clamps_on_the_direct_config_path() {
-        // The Engine front door rejects a zero sample count as an invalid
-        // request; crate-internal direct-config callers must clamp to one
-        // sample instead of panicking on `range / 0`.
-        let (app, _) = fig1_app();
-        let cfg = FtqsConfig {
-            interval_samples: 0,
-            ..FtqsConfig::with_budget(4)
-        };
-        let tree = ftqs(&app, &cfg).expect("clamped sweep still synthesizes");
-        assert!(!tree.is_empty());
-    }
-
-    #[test]
     fn all_dropped_root_is_an_empty_root_error() {
         // Every process is soft and worthless: FTSS statically drops them
         // all, leaving no pivot — FTQS must diagnose this instead of
@@ -907,7 +886,6 @@ mod tests {
         // Wherever a switch triggers, it must improve the estimated suffix
         // utility over staying with the parent (checked with the same
         // estimator the tree was built with).
-        let est = FtqsConfig::default().estimator;
         for tc_ms in (30..=300).step_by(5) {
             let tc = t(tc_ms);
             if let Some(c) = tree.switch_target(tree.root(), 0, tc) {
@@ -915,10 +893,9 @@ mod tests {
                 let ca = c_sched.analyze(&app);
                 let ra = root_sched.analyze(&app);
                 let u_child =
-                    crate::fschedule::expected_suffix_utility_est(&app, c_sched, &ca, 0, tc, est);
-                let u_parent = crate::fschedule::expected_suffix_utility_est(
-                    &app, root_sched, &ra, 1, tc, est,
-                );
+                    crate::fschedule::expected_suffix_utility_est(&app, c_sched, &ca, 0, tc);
+                let u_parent =
+                    crate::fschedule::expected_suffix_utility_est(&app, root_sched, &ra, 1, tc);
                 assert!(
                     u_child > u_parent,
                     "switch at tc={tc} loses utility: {u_child} vs {u_parent}"

@@ -106,28 +106,24 @@ use ftqs_graph::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Tuning knobs of the FTSS scheduler. The defaults reproduce the paper's
-/// heuristic;
-/// the switches exist for the ablation experiments in the bench crate.
+/// Lookahead weight of the MU priority (see [`crate::priority`]): each
+/// pending soft successor's utility density counts half as much as the
+/// candidate's own.
+pub(crate) const SUCCESSOR_WEIGHT: f64 = 0.5;
+
+/// Configuration of the FTSS scheduler. The default is the paper's
+/// heuristic; the one switch, `dropping`, exists for the A3 ablation row
+/// of the synthesis bench.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FtssConfig {
     /// Enable the `DetermineDropping` utility-driven dropping step.
     /// (Forced dropping for schedulability always stays on.)
     pub dropping: bool,
-    /// Grant re-executions to soft processes (step 5). When off, soft
-    /// processes are abandoned on their first fault.
-    pub soft_reexecution: bool,
-    /// Lookahead weight of the MU priority (see [`crate::priority`]).
-    pub successor_weight: f64,
 }
 
 impl Default for FtssConfig {
     fn default() -> Self {
-        FtssConfig {
-            dropping: true,
-            soft_reexecution: true,
-            successor_weight: 0.5,
-        }
+        FtssConfig { dropping: true }
     }
 }
 
@@ -702,24 +698,20 @@ impl<'s> Scheduler<'s> {
             .as_ref()
             .expect("MU priority is defined for soft processes only");
         let own_completion = now + self.model.aet_of[s.index()];
-        let mut score = alpha * u.value(own_completion) / self.model.denom_of[s.index()];
-        let w = self.config.successor_weight;
-        if w != 0.0 {
-            let mut succ_sum = 0.0;
-            // Soft successors only — hard successors pass the pending gate
-            // but carry no utility, contributing nothing to the sum.
-            for &(j, denom_j, aet_j) in &self.model.soft_succs[s.index()] {
-                if !is_pending(j) {
-                    continue;
-                }
-                let uj = self.model.utility_of[j.index()]
-                    .as_ref()
-                    .expect("soft successor has a utility function");
-                succ_sum += uj.value(own_completion + aet_j) / denom_j;
+        let score = alpha * u.value(own_completion) / self.model.denom_of[s.index()];
+        let mut succ_sum = 0.0;
+        // Soft successors only — hard successors pass the pending gate
+        // but carry no utility, contributing nothing to the sum.
+        for &(j, denom_j, aet_j) in &self.model.soft_succs[s.index()] {
+            if !is_pending(j) {
+                continue;
             }
-            score += w * succ_sum;
+            let uj = self.model.utility_of[j.index()]
+                .as_ref()
+                .expect("soft successor has a utility function");
+            succ_sum += uj.value(own_completion + aet_j) / denom_j;
         }
-        score
+        score + SUCCESSOR_WEIGHT * succ_sum
     }
 
     fn run(mut self) -> Result<FSchedule, SchedulingError> {
@@ -1328,10 +1320,8 @@ impl<'s> Scheduler<'s> {
         self.prefix.wcet_clock += self.model.wcet_of[best.index()];
         let reexecutions = if hard {
             self.model.k
-        } else if self.config.soft_reexecution {
-            self.soft_reexecution_allowance(best)
         } else {
-            0
+            self.soft_reexecution_allowance(best)
         };
         let item = SlackItem::new(self.model.penalty_of[best.index()], reexecutions);
         self.prefix.slack_items.push(item);
@@ -1710,10 +1700,7 @@ mod tests {
             UtilityFunction::step(10.0, [(t(50), 0.0)]).unwrap(),
         );
         let app = b.build().unwrap();
-        let cfg = FtssConfig {
-            dropping: false,
-            ..FtssConfig::default()
-        };
+        let cfg = FtssConfig { dropping: false };
         let s = ftss(&app, &ScheduleContext::root(&app), &cfg).unwrap();
         assert!(s.statically_dropped().is_empty());
         assert_eq!(s.position_of(dead), Some(0));

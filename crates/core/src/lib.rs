@@ -118,9 +118,7 @@ pub use engine::{
     TimingReport, TreeStats, UtilityReport,
 };
 pub use error::{Error, SchedulingError};
-pub use fschedule::{
-    FSchedule, ScheduleAnalysis, ScheduleContext, ScheduleEntry, UtilityEstimator,
-};
+pub use fschedule::{FSchedule, ScheduleAnalysis, ScheduleContext, ScheduleEntry};
 pub use ftqs::{ExpansionPolicy, ExpansionStats};
 pub use ftss::FtssConfig;
 pub use process::{Criticality, ExecutionTimes, ExecutionTimesError, Process};

@@ -24,8 +24,8 @@ use crate::fschedule::{
     expected_suffix_utility_est, FSchedule, ScheduleAnalysis, ScheduleContext, ScheduleEntry,
     StaleAlpha,
 };
-use crate::ftqs::{ExpansionPolicy, FtqsConfig};
-use crate::ftss::FtssConfig;
+use crate::ftqs::{ExpansionPolicy, FtqsConfig, INTERVAL_SAMPLES};
+use crate::ftss::{FtssConfig, SUCCESSOR_WEIGHT};
 use crate::priority::{mu_priority, PriorityContext};
 use crate::tree::{QuasiStaticTree, SwitchArc, TreeNode, TreeNodeId};
 use crate::wcdelay::{worst_case_fault_delay, SlackItem};
@@ -223,7 +223,7 @@ impl<'a> Scheduler<'a> {
                         app,
                         now,
                         alpha: a,
-                        successor_weight: self.config.successor_weight,
+                        successor_weight: SUCCESSOR_WEIGHT,
                     },
                     s,
                     |j| self.is_pending(j) && !placed[j.index()] && Some(j) != extra_drop,
@@ -359,7 +359,7 @@ impl<'a> Scheduler<'a> {
                         app: self.app,
                         now: self.avg_clock,
                         alpha: a,
-                        successor_weight: self.config.successor_weight,
+                        successor_weight: SUCCESSOR_WEIGHT,
                     },
                     s,
                     |j| self.is_pending(j),
@@ -394,10 +394,8 @@ impl<'a> Scheduler<'a> {
         self.wcet_clock += times.wcet();
         let reexecutions = if hard {
             self.k
-        } else if self.config.soft_reexecution {
-            self.soft_reexecution_allowance(best)
         } else {
-            0
+            self.soft_reexecution_allowance(best)
         };
         self.slack_items
             .push(SlackItem::new(app.recovery_penalty(best), reexecutions));
@@ -631,10 +629,9 @@ impl<'a> TreeBuilder<'a> {
         };
         let p = &self.nodes[parent];
         let tc = n.schedule.context().start;
-        let est = self.config.estimator;
-        let u_child = expected_suffix_utility_est(self.app, &n.schedule, &n.analysis, 0, tc, est);
+        let u_child = expected_suffix_utility_est(self.app, &n.schedule, &n.analysis, 0, tc);
         let u_parent =
-            expected_suffix_utility_est(self.app, &p.schedule, &p.analysis, pivot_pos + 1, tc, est);
+            expected_suffix_utility_est(self.app, &p.schedule, &p.analysis, pivot_pos + 1, tc);
         u_child - u_parent
     }
 
@@ -725,7 +722,7 @@ impl<'a> TreeBuilder<'a> {
         let child_safe = cn.analysis.hard_safe_start(0, k);
 
         let range = hi_sweep.as_ms() - lo.as_ms();
-        let step = (range / u64::from(self.config.interval_samples)).max(1);
+        let step = (range / u64::from(INTERVAL_SAMPLES)).max(1);
 
         let mut runs: Vec<(Time, Time)> = Vec::new();
         let mut run_start: Option<Time> = None;
@@ -734,17 +731,9 @@ impl<'a> TreeBuilder<'a> {
         loop {
             let tc = Time::from_ms(tc_ms);
             let good = tc <= child_safe && {
-                let est = self.config.estimator;
-                let u_child =
-                    expected_suffix_utility_est(app, &cn.schedule, &cn.analysis, 0, tc, est);
-                let u_parent = expected_suffix_utility_est(
-                    app,
-                    &pn.schedule,
-                    &pn.analysis,
-                    pivot_pos + 1,
-                    tc,
-                    est,
-                );
+                let u_child = expected_suffix_utility_est(app, &cn.schedule, &cn.analysis, 0, tc);
+                let u_parent =
+                    expected_suffix_utility_est(app, &pn.schedule, &pn.analysis, pivot_pos + 1, tc);
                 u_child > u_parent + 1e-9
             };
             if good {

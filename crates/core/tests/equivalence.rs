@@ -14,7 +14,7 @@
 //! across calls must never leak state between runs, which these tests
 //! would catch immediately.
 
-use ftqs_core::fschedule::{expected_suffix_utility_est, ScheduleAnalysis, UtilityEstimator};
+use ftqs_core::fschedule::{expected_suffix_utility_est, ScheduleAnalysis};
 use ftqs_core::ftqs::{ExpansionPolicy, FtqsConfig};
 use ftqs_core::oracle::{ftqs_reference, ftss_reference};
 use ftqs_core::{
@@ -159,17 +159,7 @@ fn assert_trees_equal(fast: &QuasiStaticTree, slow: &QuasiStaticTree, label: &st
 #[test]
 fn engine_ftss_matches_reference_on_20_plus_workloads() {
     let corpus = schedulable_corpus(24);
-    let configs = [
-        FtssConfig::default(),
-        FtssConfig {
-            dropping: false,
-            ..FtssConfig::default()
-        },
-        FtssConfig {
-            soft_reexecution: false,
-            ..FtssConfig::default()
-        },
-    ];
+    let configs = [FtssConfig::default(), FtssConfig { dropping: false }];
     for cfg in &configs {
         let mut session = Engine::new().with_ftss_config(cfg.clone()).session();
         for (seed, app) in &corpus {
@@ -357,20 +347,12 @@ fn expected_utilities_match_reference_tables() {
         let s = report.root_schedule();
         let fast = s.analyze(app);
         let slow = ScheduleAnalysis::of_reference(app, s);
-        for est in [UtilityEstimator::AverageCase, UtilityEstimator::Quantile3] {
-            for tc in
-                (0..=app.period().as_ms()).step_by((app.period().as_ms() / 16).max(1) as usize)
-            {
-                let t = Time::from_ms(tc);
-                for from in [0usize, s.entries().len() / 2] {
-                    let a = expected_suffix_utility_est(app, s, &fast, from, t, est);
-                    let b = expected_suffix_utility_est(app, s, &slow, from, t, est);
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "seed {seed} est {est:?} tc {tc} from {from}"
-                    );
-                }
+        for tc in (0..=app.period().as_ms()).step_by((app.period().as_ms() / 16).max(1) as usize) {
+            let t = Time::from_ms(tc);
+            for from in [0usize, s.entries().len() / 2] {
+                let a = expected_suffix_utility_est(app, s, &fast, from, t);
+                let b = expected_suffix_utility_est(app, s, &slow, from, t);
+                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} tc {tc} from {from}");
             }
         }
     }

@@ -629,6 +629,37 @@ fn deeply_nested_line_is_a_per_line_error() {
 }
 
 #[test]
+fn utility_overflow_spec_is_a_per_line_error() {
+    // Each peak is finite, but the sum overflows: the application is
+    // rejected, and the neighbouring lines are still served.
+    let mut service = single_worker_service(8);
+    let input = concat!(
+        "{\"id\": 1, \"preset\": {\"family\": \"fig9\", \"size\": 12, \"seed\": 5}}\n",
+        "{\"id\": 2, \"spec\": \"period 100\\nprocess A soft 5 10 utility 1e308\\n",
+        "process B soft 5 10 utility 1e308\\n\"}\n",
+        "{\"id\": 3, \"preset\": {\"family\": \"fig9\", \"size\": 12, \"seed\": 5}}\n",
+    );
+    let mut output = Vec::new();
+    let summary = transport::serve(&service, input.as_bytes(), &mut output).unwrap();
+    assert_eq!((summary.accepted, summary.malformed), (3, 0));
+    let lines: Vec<WireResponse> = String::from_utf8(output)
+        .unwrap()
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    assert_eq!(lines.len(), 3);
+    let by_id = |id: u64| lines.iter().find(|r| r.id == id).unwrap();
+    assert!(!by_id(2).ok && by_id(2).report.is_none());
+    let error = by_id(2).error.as_deref().unwrap();
+    assert!(error.contains("utility"), "{error}");
+    assert!(
+        by_id(1).ok && by_id(3).ok,
+        "the neighbouring lines are served"
+    );
+    let _ = service.shutdown();
+}
+
+#[test]
 fn megabyte_spec_line_parses_to_the_same_text() {
     // Parse cost is linear in the line length: a spec line of over 1 MiB
     // with multibyte comments between escapes parses in milliseconds (a

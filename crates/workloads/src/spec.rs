@@ -488,6 +488,33 @@ mod tests {
     }
 
     #[test]
+    fn extreme_utilities_are_rejected_or_synthesized_finite() {
+        // Two finite peaks whose sum overflows f64 are rejected at build
+        // time instead of turning every downstream sum into `inf`.
+        let err = parse(
+            "period 100\nprocess A soft 5 10 utility 1e308\nprocess B soft 5 10 utility 1e308\n",
+        )
+        .unwrap_err();
+        assert!(err.message.contains("utility"), "{err}");
+        // At the cap, synthesis and its expected utility stay finite.
+        let cap = ftqs_core::Application::MAX_TOTAL_UTILITY;
+        let app = parse(&format!(
+            "period 100\nprocess A soft 5 10 utility {cap:e} @ 9:0\n"
+        ))
+        .unwrap();
+        let report = ftqs_core::Engine::new()
+            .session()
+            .synthesize(&app, &ftqs_core::SynthesisRequest::ftqs(4))
+            .unwrap();
+        assert!(report.utility.expected_average_case.is_finite());
+        assert!(parse(&format!(
+            "period 100\nprocess A soft 5 10 utility {:e}\n",
+            cap * 2.0
+        ))
+        .is_err());
+    }
+
+    #[test]
     fn errors_carry_line_numbers() {
         let cases = [
             ("period 100\nbogus x\n", 2, "unknown directive"),

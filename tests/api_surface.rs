@@ -6,7 +6,6 @@
 
 use ftqs::prelude::*;
 use ftqs_core::ftqs::ExpansionPolicy;
-use ftqs_core::UtilityEstimator;
 
 fn fig1() -> Application {
     let ms = Time::from_ms;
@@ -58,8 +57,6 @@ fn request_overrides_compose_on_one_builder() {
     let mut session = Engine::new().session();
     let request = SynthesisRequest::ftqs(6)
         .with_expansion_policy(ExpansionPolicy::MostSimilar)
-        .with_interval_samples(128)
-        .with_estimator(UtilityEstimator::AverageCase)
         .with_validation(true)
         .with_max_processes(16)
         .with_max_parallelism(2);
