@@ -25,6 +25,7 @@
 
 use ftqs_core::{Application, Engine, QuasiStaticTree, SynthesisRequest, Time};
 use ftqs_service::{transport, Service, ServiceConfig};
+use ftqs_sim::stats::Readable;
 use ftqs_sim::{
     DegradationVerdict, ExecutionScenario, FaultModel, FlatRuntime, FlatScenario,
     GreedyOnlineScheduler, MonteCarlo, NoTrace, OnlineScheduler, RunScratch, ScenarioSampler,
@@ -40,6 +41,25 @@ use std::fmt::Write as _;
 /// Boxed error alias for command results (spec/I-O errors plus the typed
 /// [`ftqs_core::Error`] from synthesis).
 pub type CliError = Box<dyn Error>;
+
+/// A malformed command line: a missing command or spec, an unknown command
+/// or flag, or a flag without a valid value. The binary prints [`USAGE`]
+/// after this error and after no other, so a spec or synthesis error keeps
+/// its one-line diagnosis on screen.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UsageError(pub String);
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl Error for UsageError {}
+
+fn usage(message: impl Into<String>) -> CliError {
+    Box::new(UsageError(message.into()))
+}
 
 /// Output format of the report-emitting commands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -522,8 +542,12 @@ pub fn compare(
             for r in &report.rows {
                 let _ = writeln!(
                     out,
-                    "{:>7} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
-                    r.faults, r.ftqs, r.ftss, r.ftsf, r.greedy
+                    "{:>7} {:>10} {:>10} {:>10} {:>10}",
+                    r.faults,
+                    Readable(r.ftqs),
+                    Readable(r.ftss),
+                    Readable(r.ftsf),
+                    Readable(r.greedy)
                 );
             }
             let _ = writeln!(
@@ -687,11 +711,11 @@ pub fn robustness(
                     let ftqs = row.iter().find(|c| c.policy == "ftqs");
                     let _ = writeln!(
                         out,
-                        "{:>7} {:>10.2} {:>10.2} {:>10.2} {:>10.4} {:>10.4}",
+                        "{:>7} {:>10} {:>10} {:>10} {:>10.4} {:>10.4}",
                         f,
-                        by("ftqs"),
-                        by("ftss"),
-                        by("ftsf"),
+                        Readable(by("ftqs")),
+                        Readable(by("ftss")),
+                        Readable(by("ftsf")),
                         ftqs.map_or(0.0, |c| c.miss_rate),
                         ftqs.map_or(0.0, |c| c.degraded_rate),
                     );
@@ -758,8 +782,8 @@ pub fn trace_average(source: &str, budget: usize) -> Result<String, CliError> {
     let runner = OnlineScheduler::new(&app, &tree);
     let out = runner.run(&ExecutionScenario::average_case(&app));
     Ok(format!(
-        "utility {:.2}\n{}",
-        out.utility,
+        "utility {}\n{}",
+        Readable(out.utility),
         out.trace.render(|n| app.process(n).name().to_string())
     ))
 }
@@ -907,9 +931,9 @@ fn parse_value(args: &[String], name: &str, default: u64) -> Result<u64, CliErro
     };
     let raw = args
         .get(i + 1)
-        .ok_or_else(|| format!("missing value for {name}"))?;
+        .ok_or_else(|| usage(format!("missing value for {name}")))?;
     raw.parse()
-        .map_err(|_| format!("invalid value for {name}: '{raw}' is not a number").into())
+        .map_err(|_| usage(format!("invalid value for {name}: '{raw}' is not a number")))
 }
 
 /// Parses the value following a string-valued flag `name`; absent flag →
@@ -921,7 +945,7 @@ fn parse_str(args: &[String], name: &str) -> Result<Option<String>, CliError> {
     args.get(i + 1)
         .cloned()
         .map(Some)
-        .ok_or_else(|| format!("missing value for {name}").into())
+        .ok_or_else(|| usage(format!("missing value for {name}")))
 }
 
 /// Parses `--format text|json`; absent → `Text`, anything else → error.
@@ -932,9 +956,54 @@ fn parse_format(args: &[String]) -> Result<OutputFormat, CliError> {
     match args.get(i + 1).map(String::as_str) {
         Some("json") => Ok(OutputFormat::Json),
         Some("text") => Ok(OutputFormat::Text),
-        Some(other) => Err(format!("invalid value for --format: '{other}' (text|json)").into()),
-        None => Err("missing value for --format".into()),
+        Some(other) => Err(usage(format!(
+            "invalid value for --format: '{other}' (text|json)"
+        ))),
+        None => Err(usage("missing value for --format")),
     }
+}
+
+/// Flags that take no value; every other flag is followed by one.
+const SWITCHES: [&str; 4] = ["--dot", "--json", "--trace", "--stats"];
+
+/// Rejects any argument after `<spec>` that is not a flag of `cmd` or the
+/// value of one. Unknown commands pass; the dispatcher reports them.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
+    let known: &[&str] = match cmd {
+        "info" | "schedule" => &["--format"],
+        "tree" => &["--budget", "--dot", "--json", "--format"],
+        "graph" => &[],
+        "simulate" => &[
+            "--cycles", "--faults", "--seed", "--budget", "--model", "--trace",
+        ],
+        "compare" => &["--scenarios", "--budget", "--seed", "--format"],
+        "robustness" => &["--scenarios", "--budget", "--seed", "--model", "--format"],
+        "trace" => &["--budget"],
+        "export" => &["--budget", "--prefix"],
+        "submit" => &[
+            "--count",
+            "--size",
+            "--seed",
+            "--distinct",
+            "--policy",
+            "--budget",
+            "--priority",
+            "--deadline-ms",
+        ],
+        "serve" => &["--workers", "--queue", "--cache", "--responses", "--stats"],
+        _ => return Ok(()),
+    };
+    let mut rest = args.iter().skip(2);
+    while let Some(arg) = rest.next() {
+        if !known.contains(&arg.as_str()) {
+            return Err(usage(format!("unknown argument '{arg}' for {cmd}")));
+        }
+        if !SWITCHES.contains(&arg.as_str()) {
+            // Its value; a missing one is reported by the flag's parser.
+            rest.next();
+        }
+    }
+    Ok(())
 }
 
 /// Dispatches one CLI invocation (`args` excludes the program name) and
@@ -942,8 +1011,8 @@ fn parse_format(args: &[String]) -> Result<OutputFormat, CliError> {
 ///
 /// # Errors
 ///
-/// Unknown commands/flags, malformed numeric flags, and every command
-/// error (load/parse/synthesis/serialization).
+/// [`UsageError`] for unknown commands or flags and malformed flag values;
+/// every command error (load/parse/synthesis/serialization) as itself.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let mut out = Vec::new();
     run_to(args, &mut out)?;
@@ -957,8 +1026,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 ///
 /// As [`run`], plus I/O errors writing `out`.
 pub fn run_to<W: std::io::Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
-    let cmd = args.first().ok_or("missing command")?;
-    let spec = args.get(1).ok_or("missing spec argument")?;
+    let cmd = args.first().ok_or_else(|| usage("missing command"))?;
+    let spec = args.get(1).ok_or_else(|| usage("missing spec argument"))?;
+    check_flags(cmd, args)?;
     let value = |name: &str, default: u64| parse_value(args, name, default);
     let flag = |name: &str| args.iter().any(|a| a == name);
 
@@ -1013,7 +1083,9 @@ pub fn run_to<W: std::io::Write>(args: &[String], out: &mut W) -> Result<(), Cli
             let deadline_ms = parse_str(args, "--deadline-ms")?
                 .map(|raw| {
                     raw.parse::<u64>().map_err(|_| {
-                        format!("invalid value for --deadline-ms: '{raw}' is not a number")
+                        usage(format!(
+                            "invalid value for --deadline-ms: '{raw}' is not a number"
+                        ))
                     })
                 })
                 .transpose()?;
@@ -1045,12 +1117,12 @@ pub fn run_to<W: std::io::Write>(args: &[String], out: &mut W) -> Result<(), Cli
                 Some(i) => args
                     .get(i + 1)
                     .cloned()
-                    .ok_or("missing value for --prefix")?,
+                    .ok_or_else(|| usage("missing value for --prefix"))?,
                 None => "ftqs".to_string(),
             };
             export_c(spec, value("--budget", 8)? as usize, &prefix)
         }
-        other => Err(format!("unknown command '{other}'").into()),
+        other => Err(usage(format!("unknown command '{other}'"))),
     }?;
     out.write_all(text.as_bytes())?;
     Ok(())
@@ -1470,6 +1542,68 @@ mod tests {
         assert!(run(&[]).is_err());
         assert!(run(&args(&["info"])).is_err());
         assert!(run(&args(&["frobnicate", "--example"])).is_err());
+    }
+
+    #[test]
+    fn usage_errors_are_typed_apart_from_command_errors() {
+        let is_usage = |list: &[&str]| run(&args(list)).unwrap_err().is::<UsageError>();
+        assert!(is_usage(&[]));
+        assert!(is_usage(&["tree"]), "missing spec");
+        assert!(is_usage(&["frobnicate", "--example"]));
+        assert!(is_usage(&["tree", "--example", "--bogus"]), "unknown flag");
+        assert!(is_usage(&["tree", "--example", "--budget", "4", "stray"]));
+        assert!(is_usage(&["graph", "--example", "--budget", "4"]));
+        assert!(is_usage(&["tree", "--example", "--budget", "abc"]));
+        assert!(is_usage(&["info", "--example", "--format", "xml"]));
+        // A flag's value may look like a flag; it is still its value.
+        assert!(run(&args(&["export", "--example", "--prefix", "--budget"])).is_err());
+
+        let path = std::env::temp_dir().join(format!("ftqs-cli-usage-{}.spec", std::process::id()));
+        std::fs::write(&path, "period 100\nprocess A hard 5 10 deadline 200\n").unwrap();
+        let err = run(&args(&["tree", path.to_str().unwrap()])).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            !err.is::<UsageError>(),
+            "a spec error is not a usage error: {err}"
+        );
+        assert!(err.to_string().contains("exceeds period"), "{err}");
+        let err = run(&args(&["tree", "/nonexistent/ftqs.spec"])).unwrap_err();
+        assert!(!err.is::<UsageError>(), "{err}");
+    }
+
+    #[test]
+    fn huge_utilities_print_in_scientific_notation() {
+        let path = std::env::temp_dir().join(format!("ftqs-cli-huge-{}.spec", std::process::id()));
+        std::fs::write(
+            &path,
+            "period 100\nprocess A soft 5 10 utility 1e100 @ 9:0\n",
+        )
+        .unwrap();
+        let spec = path.to_str().unwrap();
+        let outputs = [
+            compare(spec, 20, 4, 1, OutputFormat::Text).unwrap(),
+            robustness(spec, 5, 4, 1, None, OutputFormat::Text).unwrap(),
+            // The summary line; the event lines below it are the trace's.
+            trace_average(spec, 4)
+                .unwrap()
+                .lines()
+                .next()
+                .unwrap()
+                .to_string(),
+            simulate(spec, 10, 0, 1, 4, "independent", false).unwrap(),
+        ];
+        std::fs::remove_file(&path).ok();
+        for out in &outputs {
+            assert!(out.contains("e99") || out.contains("e100"), "{out}");
+            let longest = out.split_whitespace().map(str::len).max().unwrap();
+            assert!(longest < 20, "a number spans {longest} chars: {out}");
+        }
+        // Normal magnitudes keep today's fixed two decimals.
+        let table = compare("--example", 20, 4, 1, OutputFormat::Text).unwrap();
+        let row = table.lines().nth(1).unwrap();
+        for field in row.split_whitespace().skip(1) {
+            assert_eq!(field.split('.').nth(1).map(str::len), Some(2), "{row}");
+        }
     }
 
     #[test]

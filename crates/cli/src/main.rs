@@ -49,7 +49,9 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", ftqs_cli::USAGE);
+            if e.is::<ftqs_cli::UsageError>() {
+                eprintln!("{}", ftqs_cli::USAGE);
+            }
             ExitCode::FAILURE
         }
     }

@@ -1,11 +1,13 @@
-//! Golden-output tests for the CLI's `--format json` reports.
+//! Golden-output tests for the CLI's `--format json` reports and `ftqs
+//! serve` response lines.
 //!
 //! The JSON shapes are an interface: batch pipelines and embedded-runtime
 //! tooling parse them, so field order (serde declaration order) and value
 //! layout must stay stable. Each golden file under `tests/golden/` is the
 //! exact expected output on the paper's Fig. 1 example with fixed seeds;
-//! the only nondeterministic field — `timing.synthesis_micros` — is
-//! normalized to 0 on both sides before comparison.
+//! the wall-clock fields — `timing.synthesis_micros`, and on a response
+//! line also `queued_micros` and `service_micros` — are normalized to 0 on
+//! both sides before comparison.
 //!
 //! To regenerate after an *intentional* schema change:
 //!
@@ -13,29 +15,40 @@
 //! cargo run -p ftqs-cli --bin ftqs -- tree --example --budget 4 --format json
 //! cargo run -p ftqs-cli --bin ftqs -- compare --example --scenarios 50 --budget 4 --seed 3 --format json
 //! cargo run -p ftqs-cli --bin ftqs -- info --example --format json
+//! cargo run -p ftqs-cli --bin ftqs -- serve <batch>   # the one request of `serve_line_matches_golden`
 //! ```
 //!
-//! (normalize `synthesis_micros` to 0 by hand) — and read the diff; every
-//! changed line is a consumer-visible schema change.
+//! (normalize the wall-clock fields to 0 by hand) — and read the diff;
+//! every changed line is a consumer-visible schema change.
 
 use ftqs_cli::{compare, info, run, tree, OutputFormat, TreeFormat};
+use ftqs_workloads::spec::FIG1_SPEC;
+use serde::Value;
+
+/// Zeroes the integer after every occurrence of each of `needles`.
+fn zero_fields(json: &str, needles: &[&str]) -> String {
+    let mut json = json.to_string();
+    for needle in needles {
+        let mut out = String::with_capacity(json.len());
+        let mut rest = json.as_str();
+        while let Some(at) = rest.find(needle) {
+            let value_start = at + needle.len();
+            out.push_str(&rest[..value_start]);
+            let tail = &rest[value_start..];
+            let digits = tail.chars().take_while(char::is_ascii_digit).count();
+            out.push('0');
+            rest = &tail[digits..];
+        }
+        out.push_str(rest);
+        json = out;
+    }
+    json
+}
 
 /// Zeroes the value of every `"synthesis_micros": N` occurrence — the one
-/// wall-clock field in a report.
+/// wall-clock field in a pretty report.
 fn normalize_timing(json: &str) -> String {
-    let needle = "\"synthesis_micros\": ";
-    let mut out = String::with_capacity(json.len());
-    let mut rest = json;
-    while let Some(at) = rest.find(needle) {
-        let value_start = at + needle.len();
-        out.push_str(&rest[..value_start]);
-        let tail = &rest[value_start..];
-        let digits = tail.chars().take_while(char::is_ascii_digit).count();
-        out.push('0');
-        rest = &tail[digits..];
-    }
-    out.push_str(rest);
-    out
+    zero_fields(json, &["\"synthesis_micros\": "])
 }
 
 fn assert_matches_golden(actual: &str, golden: &str, name: &str) {
@@ -122,6 +135,37 @@ fn goldens_hold_through_the_argv_dispatcher() {
         &actual,
         include_str!("golden/tree_fig1_budget4.json"),
         "argv tree --json",
+    );
+}
+
+#[test]
+fn serve_line_matches_golden() {
+    // One compact NDJSON response line, byte for byte: the service's wire
+    // format, written by the same serializer as the pretty reports.
+    let request = Value::Map(vec![
+        ("id".to_string(), Value::U64(1)),
+        ("spec".to_string(), Value::Str(FIG1_SPEC.to_string())),
+        ("policy".to_string(), Value::Str("ftqs".to_string())),
+        ("budget".to_string(), Value::U64(4)),
+    ]);
+    let batch =
+        std::env::temp_dir().join(format!("ftqs-golden-serve-{}.ndjson", std::process::id()));
+    std::fs::write(&batch, serde_json::to_string(&request).unwrap() + "\n").unwrap();
+    let args: Vec<String> = vec!["serve".to_string(), batch.display().to_string()];
+    let actual = run(&args);
+    std::fs::remove_file(&batch).unwrap();
+    let wall_clock = [
+        "\"synthesis_micros\":",
+        "\"queued_micros\":",
+        "\"service_micros\":",
+    ];
+    assert_eq!(
+        zero_fields(&actual.unwrap(), &wall_clock),
+        zero_fields(
+            include_str!("golden/serve_fig1_budget4.ndjson"),
+            &wall_clock
+        ),
+        "serve response line drifted from the golden (see module docs)"
     );
 }
 

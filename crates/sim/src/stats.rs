@@ -2,6 +2,38 @@
 
 use std::fmt;
 
+/// Magnitude from which [`Readable`] switches to scientific notation.
+/// Below it a value keeps two decimals and fits a 10-wide table column
+/// (`-999999.99`, `9999999.99`).
+pub const FIXED_NOTATION_LIMIT: f64 = 1e7;
+
+/// Displays a utility-scale number with two decimals (`{:.2}`), or as
+/// `{:.3e}` once its magnitude reaches [`FIXED_NOTATION_LIMIT`], so an
+/// accepted utility near `Application::MAX_TOTAL_UTILITY` prints as
+/// `1.000e100` rather than a 100-digit number. Width and alignment apply
+/// to the whole text.
+///
+/// # Example
+///
+/// ```
+/// use ftqs_sim::stats::Readable;
+///
+/// assert_eq!(format!("{:>8}", Readable(40.0)), "   40.00");
+/// assert_eq!(Readable(1e100).to_string(), "1.000e100");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Readable(pub f64);
+
+impl fmt::Display for Readable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.abs() < FIXED_NOTATION_LIMIT {
+            f.pad(&format!("{:.2}", self.0))
+        } else {
+            f.pad(&format!("{:.3e}", self.0))
+        }
+    }
+}
+
 /// Streaming mean/variance accumulator (Welford's algorithm).
 ///
 /// # Example
@@ -93,7 +125,13 @@ impl Accumulator {
 
 impl fmt::Display for Accumulator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2} ± {:.2} (n={})", self.mean(), self.ci95(), self.n)
+        write!(
+            f,
+            "{} ± {} (n={})",
+            Readable(self.mean()),
+            Readable(self.ci95()),
+            self.n
+        )
     }
 }
 
