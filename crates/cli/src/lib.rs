@@ -923,87 +923,100 @@ fn to_json_line<T: Serialize>(value: &T) -> Result<String, CliError> {
 // argv dispatch (the `ftqs` binary is a thin wrapper around `run`)
 // ---------------------------------------------------------------------------
 
-/// Parses the value following flag `name` as a number; absent flag →
-/// `default`, malformed or missing value → a hard error naming the flag.
-fn parse_value(args: &[String], name: &str, default: u64) -> Result<u64, CliError> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(default);
-    };
-    let raw = args
-        .get(i + 1)
-        .ok_or_else(|| usage(format!("missing value for {name}")))?;
-    raw.parse()
-        .map_err(|_| usage(format!("invalid value for {name}: '{raw}' is not a number")))
-}
-
-/// Parses the value following a string-valued flag `name`; absent flag →
-/// `None`, flag without a value → a hard error naming the flag.
-fn parse_str(args: &[String], name: &str) -> Result<Option<String>, CliError> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    args.get(i + 1)
-        .cloned()
-        .map(Some)
-        .ok_or_else(|| usage(format!("missing value for {name}")))
-}
-
-/// Parses `--format text|json`; absent → `Text`, anything else → error.
-fn parse_format(args: &[String]) -> Result<OutputFormat, CliError> {
-    let Some(i) = args.iter().position(|a| a == "--format") else {
-        return Ok(OutputFormat::Text);
-    };
-    match args.get(i + 1).map(String::as_str) {
-        Some("json") => Ok(OutputFormat::Json),
-        Some("text") => Ok(OutputFormat::Text),
-        Some(other) => Err(usage(format!(
-            "invalid value for --format: '{other}' (text|json)"
-        ))),
-        None => Err(usage("missing value for --format")),
-    }
-}
-
 /// Flags that take no value; every other flag is followed by one.
 const SWITCHES: [&str; 4] = ["--dot", "--json", "--trace", "--stats"];
 
-/// Rejects any argument after `<spec>` that is not a flag of `cmd` or the
-/// value of one. Unknown commands pass; the dispatcher reports them.
-fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
-    let known: &[&str] = match cmd {
-        "info" | "schedule" => &["--format"],
-        "tree" => &["--budget", "--dot", "--json", "--format"],
-        "graph" => &[],
-        "simulate" => &[
-            "--cycles", "--faults", "--seed", "--budget", "--model", "--trace",
-        ],
-        "compare" => &["--scenarios", "--budget", "--seed", "--format"],
-        "robustness" => &["--scenarios", "--budget", "--seed", "--model", "--format"],
-        "trace" => &["--budget"],
-        "export" => &["--budget", "--prefix"],
-        "submit" => &[
-            "--count",
-            "--size",
-            "--seed",
-            "--distinct",
-            "--policy",
-            "--budget",
-            "--priority",
-            "--deadline-ms",
-        ],
-        "serve" => &["--workers", "--queue", "--cache", "--responses", "--stats"],
-        _ => return Ok(()),
-    };
-    let mut rest = args.iter().skip(2);
-    while let Some(arg) = rest.next() {
-        if !known.contains(&arg.as_str()) {
-            return Err(usage(format!("unknown argument '{arg}' for {cmd}")));
+/// The flags after `<spec>` on one command line, parsed once: each flag in
+/// order with its value (`None` for a switch). A value is the argument
+/// after its flag even when it looks like a flag itself.
+struct Flags<'a>(Vec<(&'a str, Option<&'a str>)>);
+
+impl<'a> Flags<'a> {
+    /// Parses `args[2..]` against the flags of `cmd`: an unknown command,
+    /// an unknown flag, a stray argument or a flag without its value is a
+    /// [`UsageError`].
+    fn parse(cmd: &str, args: &'a [String]) -> Result<Self, CliError> {
+        let known: &[&str] = match cmd {
+            "info" | "schedule" => &["--format"],
+            "tree" => &["--budget", "--dot", "--json", "--format"],
+            "graph" => &[],
+            "simulate" => &[
+                "--cycles", "--faults", "--seed", "--budget", "--model", "--trace",
+            ],
+            "compare" => &["--scenarios", "--budget", "--seed", "--format"],
+            "robustness" => &["--scenarios", "--budget", "--seed", "--model", "--format"],
+            "trace" => &["--budget"],
+            "export" => &["--budget", "--prefix"],
+            "submit" => &[
+                "--count",
+                "--size",
+                "--seed",
+                "--distinct",
+                "--policy",
+                "--budget",
+                "--priority",
+                "--deadline-ms",
+            ],
+            "serve" => &["--workers", "--queue", "--cache", "--responses", "--stats"],
+            other => return Err(usage(format!("unknown command '{other}'"))),
+        };
+        let mut flags = Vec::new();
+        let mut rest = args.iter().skip(2).map(String::as_str);
+        while let Some(name) = rest.next() {
+            if !known.contains(&name) {
+                return Err(usage(format!("unknown argument '{name}' for {cmd}")));
+            }
+            let value = if SWITCHES.contains(&name) {
+                None
+            } else {
+                let missing = || usage(format!("missing value for {name}"));
+                Some(rest.next().ok_or_else(missing)?)
+            };
+            flags.push((name, value));
         }
-        if !SWITCHES.contains(&arg.as_str()) {
-            // Its value; a missing one is reported by the flag's parser.
-            rest.next();
+        Ok(Flags(flags))
+    }
+
+    /// Whether switch `name` is present.
+    fn switch(&self, name: &str) -> bool {
+        self.0.iter().any(|&(n, _)| n == name)
+    }
+
+    /// The value of flag `name`, if present (its first occurrence).
+    fn str(&self, name: &str) -> Option<&'a str> {
+        self.0
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .and_then(|&(_, v)| v)
+    }
+
+    /// The value of flag `name` as a number, if present; a malformed value
+    /// is a hard error naming the flag.
+    fn number(&self, name: &str) -> Result<Option<u64>, CliError> {
+        self.str(name)
+            .map(|raw| {
+                raw.parse().map_err(|_| {
+                    usage(format!("invalid value for {name}: '{raw}' is not a number"))
+                })
+            })
+            .transpose()
+    }
+
+    /// [`Flags::number`] with `default` for an absent flag.
+    fn number_or(&self, name: &str, default: u64) -> Result<u64, CliError> {
+        Ok(self.number(name)?.unwrap_or(default))
+    }
+
+    /// `--format text|json`; absent → `Text`, anything else → error.
+    fn format(&self) -> Result<OutputFormat, CliError> {
+        match self.str("--format") {
+            None | Some("text") => Ok(OutputFormat::Text),
+            Some("json") => Ok(OutputFormat::Json),
+            Some(other) => Err(usage(format!(
+                "invalid value for --format: '{other}' (text|json)"
+            ))),
         }
     }
-    Ok(())
 }
 
 /// Dispatches one CLI invocation (`args` excludes the program name) and
@@ -1028,20 +1041,19 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 pub fn run_to<W: std::io::Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     let cmd = args.first().ok_or_else(|| usage("missing command"))?;
     let spec = args.get(1).ok_or_else(|| usage("missing spec argument"))?;
-    check_flags(cmd, args)?;
-    let value = |name: &str, default: u64| parse_value(args, name, default);
-    let flag = |name: &str| args.iter().any(|a| a == name);
+    let flags = Flags::parse(cmd, args)?;
+    let value = |name: &str, default: u64| flags.number_or(name, default);
 
     let text = match cmd.as_str() {
-        "info" => info(spec, parse_format(args)?),
-        "schedule" => schedule(spec, parse_format(args)?),
+        "info" => info(spec, flags.format()?),
+        "schedule" => schedule(spec, flags.format()?),
         "tree" => {
             // Validate --format even when --dot/--json decide the output,
             // so a typo like `--format jsn` is reported, not ignored.
-            let format_flag = parse_format(args)?;
-            let format = if flag("--dot") {
+            let format_flag = flags.format()?;
+            let format = if flags.switch("--dot") {
                 TreeFormat::Dot
-            } else if flag("--json") || format_flag == OutputFormat::Json {
+            } else if flags.switch("--json") || format_flag == OutputFormat::Json {
                 TreeFormat::Json
             } else {
                 TreeFormat::Text
@@ -1055,50 +1067,38 @@ pub fn run_to<W: std::io::Write>(args: &[String], out: &mut W) -> Result<(), Cli
             value("--faults", 0)? as usize,
             value("--seed", 1)?,
             value("--budget", 8)? as usize,
-            parse_str(args, "--model")?
-                .as_deref()
-                .unwrap_or("independent"),
-            flag("--trace"),
+            flags.str("--model").unwrap_or("independent"),
+            flags.switch("--trace"),
         ),
         "compare" => compare(
             spec,
             value("--scenarios", 500)? as usize,
             value("--budget", 8)? as usize,
             value("--seed", 1)?,
-            parse_format(args)?,
+            flags.format()?,
         ),
         "robustness" => robustness(
             spec,
             value("--scenarios", 500)? as usize,
             value("--budget", 8)? as usize,
             value("--seed", 1)?,
-            parse_str(args, "--model")?.as_deref(),
-            parse_format(args)?,
+            flags.str("--model"),
+            flags.format()?,
         ),
         "trace" => trace_average(spec, value("--budget", 8)? as usize),
         "submit" => {
             let count = value("--count", 16)? as usize;
-            // --deadline-ms is present-or-absent (there is no "default
-            // deadline"), so it parses through the string path.
-            let deadline_ms = parse_str(args, "--deadline-ms")?
-                .map(|raw| {
-                    raw.parse::<u64>().map_err(|_| {
-                        usage(format!(
-                            "invalid value for --deadline-ms: '{raw}' is not a number"
-                        ))
-                    })
-                })
-                .transpose()?;
             submit(
                 spec,
                 count,
                 value("--size", 15)? as usize,
                 value("--seed", 0)?,
                 value("--distinct", count as u64)? as usize,
-                parse_str(args, "--policy")?.as_deref().unwrap_or("ftqs"),
+                flags.str("--policy").unwrap_or("ftqs"),
                 value("--budget", 8)? as usize,
-                parse_str(args, "--priority")?.as_deref(),
-                deadline_ms,
+                flags.str("--priority"),
+                // Present-or-absent: there is no "default deadline".
+                flags.number("--deadline-ms")?,
             )
         }
         "serve" => {
@@ -1108,21 +1108,16 @@ pub fn run_to<W: std::io::Write>(args: &[String], out: &mut W) -> Result<(), Cli
                 value("--queue", 1024)? as usize,
                 value("--cache", 256)? as usize,
                 value("--responses", 1024)? as usize,
-                flag("--stats"),
+                flags.switch("--stats"),
                 out,
             )
         }
-        "export" => {
-            let prefix = match args.iter().position(|a| a == "--prefix") {
-                Some(i) => args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or_else(|| usage("missing value for --prefix"))?,
-                None => "ftqs".to_string(),
-            };
-            export_c(spec, value("--budget", 8)? as usize, &prefix)
-        }
-        other => Err(usage(format!("unknown command '{other}'"))),
+        "export" => export_c(
+            spec,
+            value("--budget", 8)? as usize,
+            flags.str("--prefix").unwrap_or("ftqs"),
+        ),
+        _ => unreachable!("Flags::parse rejects unknown commands"),
     }?;
     out.write_all(text.as_bytes())?;
     Ok(())
@@ -1306,6 +1301,9 @@ mod tests {
     #[test]
     fn load_rejects_missing_file() {
         assert!(load("/nonexistent/path.ftqs").is_err());
+        // An I/O error, not a malformed command line: no usage text.
+        let err = run(&args(&["tree", "/nonexistent/path.ftqs"])).unwrap_err();
+        assert!(!err.is::<UsageError>(), "{err}");
     }
 
     #[test]
@@ -1324,6 +1322,14 @@ mod tests {
         for good in ["ftqs", "_t", "A9_b"] {
             assert!(export_c("--example", 4, good).is_ok(), "'{good}' rejected");
         }
+        // A value that looks like a flag is still the value of --prefix.
+        let err = run(&args(&["export", "--example", "--prefix", "--budget"]))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("'--budget' is not a valid C identifier"),
+            "{err}"
+        );
     }
 
     // ----- service commands ------------------------------------------------
@@ -1539,36 +1545,9 @@ mod tests {
 
     #[test]
     fn run_rejects_unknown_commands_and_missing_args() {
-        assert!(run(&[]).is_err());
-        assert!(run(&args(&["info"])).is_err());
-        assert!(run(&args(&["frobnicate", "--example"])).is_err());
-    }
-
-    #[test]
-    fn usage_errors_are_typed_apart_from_command_errors() {
-        let is_usage = |list: &[&str]| run(&args(list)).unwrap_err().is::<UsageError>();
-        assert!(is_usage(&[]));
-        assert!(is_usage(&["tree"]), "missing spec");
-        assert!(is_usage(&["frobnicate", "--example"]));
-        assert!(is_usage(&["tree", "--example", "--bogus"]), "unknown flag");
-        assert!(is_usage(&["tree", "--example", "--budget", "4", "stray"]));
-        assert!(is_usage(&["graph", "--example", "--budget", "4"]));
-        assert!(is_usage(&["tree", "--example", "--budget", "abc"]));
-        assert!(is_usage(&["info", "--example", "--format", "xml"]));
-        // A flag's value may look like a flag; it is still its value.
-        assert!(run(&args(&["export", "--example", "--prefix", "--budget"])).is_err());
-
-        let path = std::env::temp_dir().join(format!("ftqs-cli-usage-{}.spec", std::process::id()));
-        std::fs::write(&path, "period 100\nprocess A hard 5 10 deadline 200\n").unwrap();
-        let err = run(&args(&["tree", path.to_str().unwrap()])).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(
-            !err.is::<UsageError>(),
-            "a spec error is not a usage error: {err}"
-        );
-        assert!(err.to_string().contains("exceeds period"), "{err}");
-        let err = run(&args(&["tree", "/nonexistent/ftqs.spec"])).unwrap_err();
-        assert!(!err.is::<UsageError>(), "{err}");
+        for list in [&[][..], &["info"], &["frobnicate", "--example"]] {
+            assert!(run(&args(list)).unwrap_err().is::<UsageError>(), "{list:?}");
+        }
     }
 
     #[test]
@@ -1608,23 +1587,28 @@ mod tests {
 
     #[test]
     fn malformed_numeric_flags_are_hard_errors() {
+        let usage_error = |list: &[&str]| {
+            let err = run(&args(list)).unwrap_err();
+            assert!(err.is::<UsageError>(), "{list:?}: {err}");
+            err.to_string()
+        };
         // Historically `--budget abc` silently fell back to the default.
-        let err = run(&args(&["tree", "--example", "--budget", "abc"]))
-            .unwrap_err()
-            .to_string();
+        let err = usage_error(&["tree", "--example", "--budget", "abc"]);
         assert!(err.contains("--budget"), "error must name the flag: {err}");
         assert!(err.contains("abc"), "error must show the input: {err}");
 
-        let err = run(&args(&["simulate", "--example", "--cycles", "1e3"]))
-            .unwrap_err()
-            .to_string();
+        let err = usage_error(&["simulate", "--example", "--cycles", "1e3"]);
         assert!(err.contains("--cycles"));
 
         // A flag present with no value is also an error.
-        let err = run(&args(&["tree", "--example", "--budget"]))
-            .unwrap_err()
-            .to_string();
+        let err = usage_error(&["tree", "--example", "--budget"]);
         assert!(err.contains("missing value"));
+
+        // So are a stray argument and a flag the command does not take.
+        let err = usage_error(&["tree", "--example", "--budget", "4", "stray"]);
+        assert!(err.contains("'stray'"), "{err}");
+        let err = usage_error(&["graph", "--example", "--budget", "4"]);
+        assert!(err.contains("'--budget' for graph"), "{err}");
 
         // Absent flags still use defaults.
         assert!(run(&args(&["tree", "--example"])).is_ok());
