@@ -25,6 +25,10 @@
 //!
 //! `--smoke` shrinks the grid to one size and a few thousand scenarios so
 //! CI exercises every engine × mode × intensity cell in seconds.
+//!
+//! The run exits non-zero, naming the cell, when a flat cell runs under
+//! [`RATIO_FLOOR`] times its tree-walk cell. A ratio holds across hosts
+//! where absolute scenarios/second do not; the JSON is written first.
 
 use ftqs_bench::{print_row, Options};
 use ftqs_core::{Application, Engine, QuasiStaticTree, SynthesisRequest};
@@ -37,6 +41,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
 use std::time::Instant;
+
+/// The least flat-over-tree-walk throughput ratio any cell may show.
+const RATIO_FLOOR: f64 = 2.0;
 
 /// One timed grid cell.
 struct Cell {
@@ -273,4 +280,23 @@ fn main() {
 
     std::fs::write(&out_path, &json).expect("write BENCH_runtime.json");
     println!("wrote {out_path}");
+
+    // Cells come in (tree-walk, flat) pairs of the same size, mode and
+    // intensity.
+    let mut below_floor = false;
+    for pair in cells.chunks_exact(2) {
+        let (walk, flat) = (&pair[0], &pair[1]);
+        assert_eq!((walk.engine, flat.engine), ("tree-walk", "flat"));
+        let ratio = flat.scen_per_sec / walk.scen_per_sec.max(1e-12);
+        if ratio < RATIO_FLOOR {
+            eprintln!(
+                "size {} {} {}: flat runs {ratio:.2}x tree-walk, under the {RATIO_FLOOR}x floor",
+                flat.size, flat.mode, flat.intensity_label
+            );
+            below_floor = true;
+        }
+    }
+    if below_floor {
+        std::process::exit(1);
+    }
 }

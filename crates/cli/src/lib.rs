@@ -1562,20 +1562,26 @@ mod tests {
         let outputs = [
             compare(spec, 20, 4, 1, OutputFormat::Text).unwrap(),
             robustness(spec, 5, 4, 1, None, OutputFormat::Text).unwrap(),
-            // The summary line; the event lines below it are the trace's.
-            trace_average(spec, 4)
-                .unwrap()
-                .lines()
-                .next()
-                .unwrap()
-                .to_string(),
             simulate(spec, 10, 0, 1, 4, "independent", false).unwrap(),
         ];
+        // The summary line and every event line below it.
+        let trace = trace_average(spec, 4).unwrap();
         std::fs::remove_file(&path).ok();
         for out in &outputs {
             assert!(out.contains("e99") || out.contains("e100"), "{out}");
-            let longest = out.split_whitespace().map(str::len).max().unwrap();
-            assert!(longest < 20, "a number spans {longest} chars: {out}");
+        }
+        for line in outputs
+            .iter()
+            .flat_map(|out| out.lines())
+            .chain(trace.lines())
+        {
+            let longest = line.split_whitespace().map(str::len).max().unwrap_or(0);
+            assert!(longest < 20, "a number spans {longest} chars: {line}");
+        }
+        let done: Vec<&str> = trace.lines().filter(|l| l.contains(" done ")).collect();
+        assert!(!done.is_empty(), "{trace}");
+        for line in done {
+            assert!(line.contains("e99") || line.contains("e100"), "{line}");
         }
         // Normal magnitudes keep today's fixed two decimals.
         let table = compare("--example", 20, 4, 1, OutputFormat::Text).unwrap();

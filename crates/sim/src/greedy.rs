@@ -10,7 +10,9 @@
 //! candidate by utility density. Functionally it plays the same game as the
 //! quasi-static tree — but each decision costs a full O(n²) analysis
 //! *inside the control cycle*, which is exactly the overhead quasi-static
-//! scheduling moves off-line. The `simulation` bench quantifies the gap.
+//! scheduling moves off-line. No committed bench row measures its
+//! per-decision cost yet; ROADMAP's "One runtime surface" item asks for
+//! one next to `FlatRuntime`, or for this scheduler's removal.
 //!
 //! This scheduler guarantees hard deadlines the same way FTSS does: a hard
 //! process is started early enough that, even with all remaining faults

@@ -43,7 +43,8 @@
 //!   across all worker threads; each worker reuses a
 //!   [`runtime::RunScratch`] (completions/dropped/stale-coefficient
 //!   tables) and a [`FlatScenario`] buffer across its whole range, so
-//!   steady-state execution is allocation-free. Trace recording is
+//!   steady-state execution is allocation-free. The buffer keeps raw
+//!   generator outputs and maps only the attempts a cycle executes. Trace recording is
 //!   opt-in through the [`trace::EventSink`] generic — batches pass
 //!   [`trace::NoTrace`] and the event work compiles away.
 //! * **RNG-stream contract** — scenario `i` of a run with base seed `s`

@@ -46,7 +46,11 @@
 //! reference harness): scenario `i` always draws from a fresh stream
 //! seeded by `scenario_seed(base, i)`, so results are thread-count
 //! invariant, and an explicit attempt-table width provides common random
-//! numbers across intensity sweeps.
+//! numbers across intensity sweeps. The runner builds its
+//! [`ScenarioSampler`] once and shares it read-only with its workers. A
+//! fill stores raw generator outputs, and `run_cycle` maps only the
+//! attempts it executes (see [`FlatScenario`]), so sampling costs one
+//! generator step per attempt slot plus the fault plan.
 
 use crate::montecarlo::{scenario_seed, Evaluation, MonteCarlo};
 use crate::online::{DegradationVerdict, SimOutcome};
@@ -549,18 +553,17 @@ pub struct CycleOutcome {
 
 /// Batched Monte Carlo executor over a [`FlatRuntime`].
 ///
-/// One shared, read-only flat image serves every worker thread; each
-/// worker owns a [`RunScratch`] + [`FlatScenario`] pair reused across its
-/// whole scenario range, so the steady-state loop performs no heap
-/// allocation. Scenario `i` always draws from a fresh RNG stream seeded
-/// by `scenario_seed(base_seed, i)` — the same contract as
-/// [`MonteCarlo`] — so results are invariant under the thread count and
-/// identical to the reference harness.
+/// One shared, read-only flat image and one sampler serve every worker
+/// thread; each worker owns a [`RunScratch`] + [`FlatScenario`] pair
+/// reused across its whole scenario range, so the steady-state loop
+/// performs no heap allocation. Scenario `i` always draws from a fresh
+/// RNG stream seeded by `scenario_seed(base_seed, i)` — the same contract
+/// as [`MonteCarlo`] — so results are invariant under the thread count
+/// and identical to the reference harness.
 #[derive(Debug)]
 pub struct BatchRunner<'a> {
-    app: &'a Application,
     runtime: &'a FlatRuntime,
-    model: FaultModel,
+    sampler: ScenarioSampler<'a>,
 }
 
 impl<'a> BatchRunner<'a> {
@@ -569,9 +572,8 @@ impl<'a> BatchRunner<'a> {
     #[must_use]
     pub fn new(app: &'a Application, runtime: &'a FlatRuntime, model: FaultModel) -> Self {
         BatchRunner {
-            app,
             runtime,
-            model,
+            sampler: ScenarioSampler::with_model(app, model),
         }
     }
 
@@ -581,7 +583,7 @@ impl<'a> BatchRunner<'a> {
     /// `max(k, fault_count) + 1` exactly as the reference sampler does.
     #[must_use]
     pub fn evaluate(&self, config: &MonteCarlo, fault_count: usize) -> Evaluation {
-        let attempts = self.app.faults().k.max(fault_count) + 1;
+        let attempts = self.runtime.fault_budget().max(fault_count) + 1;
         self.evaluate_with_attempts(config, fault_count, attempts)
     }
 
@@ -643,13 +645,13 @@ impl<'a> BatchRunner<'a> {
         lo: usize,
         hi: usize,
     ) -> Evaluation {
-        let sampler = ScenarioSampler::with_model(self.app, self.model);
         let mut scratch = RunScratch::new();
         let mut scenario = FlatScenario::new();
         let mut eval = Evaluation::default();
         for i in lo..hi {
             let mut rng = StdRng::seed_from_u64(scenario_seed(seed, i as u64));
-            sampler.sample_into_with_attempts(&mut rng, fault_count, attempts, &mut scenario);
+            self.sampler
+                .sample_into_with_attempts(&mut rng, fault_count, attempts, &mut scenario);
             let out = self
                 .runtime
                 .run_cycle(&scenario, &mut scratch, &mut NoTrace);

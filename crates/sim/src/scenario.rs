@@ -59,6 +59,7 @@
 use ftqs_core::{Application, Time};
 use ftqs_graph::NodeId;
 use rand::Rng;
+use std::sync::Arc;
 
 /// A precomputed uniform integer range, drawn without hardware division.
 ///
@@ -107,7 +108,14 @@ impl FastRange {
     /// One draw, bit-identical to the `gen_range` this range mirrors.
     #[inline]
     fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let x = rng.next_u64();
+        self.map(rng.next_u64())
+    }
+
+    /// Maps one raw generator output into the range: `draw` is
+    /// `map(rng.next_u64())`, so a stored raw output maps to the exact
+    /// value drawing it would have returned.
+    #[inline]
+    fn map(&self, x: u64) -> u64 {
         if self.width == 0 {
             return self.lo.wrapping_add(x);
         }
@@ -356,26 +364,36 @@ impl ScenarioView for ExecutionScenario {
     }
 }
 
-/// A reusable, flat (single-allocation) scenario buffer for batched
-/// simulation.
+/// A reusable, flat scenario buffer for batched simulation.
 ///
-/// Holds the same information as [`ExecutionScenario`] — per-attempt
-/// durations, a fault plan, per-process saturation durations — in dense
-/// row-major arrays (`process * attempts + attempt`) that
-/// [`ScenarioSampler::sample_into`] refills without allocating. One
-/// buffer per Monte Carlo worker replaces the two `Vec<Vec<_>>` the boxed
-/// representation allocates per scenario.
+/// Holds the same outcome as [`ExecutionScenario`], sampled lazily: a fill
+/// ([`ScenarioSampler::sample_into`]) stores the *raw* generator output of
+/// every attempt slot in a dense row-major array
+/// (`process * attempts + attempt`), and a read maps the slot into the
+/// process's `[bcet, wcet]` range. A cycle executes at most one attempt
+/// per process plus one per fault, so most slots are never mapped. The
+/// mapping is the arithmetic a direct draw uses, so every read is
+/// bit-identical to the duration [`ScenarioSampler::sample`] draws from
+/// the same stream. [`FaultModel::WcetStress`] draws a value-dependent
+/// number of outputs per slot, so its fills store mapped durations.
+///
+/// Fault flags are not tabled: attempt `a` of process `p` is faulty iff
+/// `a < hits[p]`, the number of faults planned on `p`. The per-process
+/// ranges are the filling sampler's shared handle, replaced only when a
+/// different sampler fills the buffer. One buffer per Monte Carlo worker
+/// is refilled without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct FlatScenario {
-    processes: usize,
     attempts: usize,
-    /// `durations[p * attempts + a]`.
-    durations: Vec<Time>,
-    /// `faulty[p * attempts + a]`.
-    faulty: Vec<bool>,
-    /// Saturation duration per process (the WCET).
-    overflow: Vec<Time>,
-    /// Fault-placement scratch: hits per process.
+    /// `slots[p * attempts + a]`: the raw generator output of that
+    /// attempt, or its duration in ms when `mapped`.
+    slots: Vec<u64>,
+    /// Whether `slots` holds durations (a [`FaultModel::WcetStress`] fill).
+    mapped: bool,
+    /// Per-process duration ranges of the filling sampler. Each range's
+    /// upper bound is the WCET, the saturation duration past the table.
+    ranges: Arc<[FastRange]>,
+    /// Faults planned per process.
     hits: Vec<usize>,
     fault_count: usize,
 }
@@ -391,7 +409,7 @@ impl FlatScenario {
     /// Number of processes in the current fill.
     #[must_use]
     pub fn processes(&self) -> usize {
-        self.processes
+        self.ranges.len()
     }
 
     /// Number of attempt slots per process in the current fill.
@@ -410,26 +428,30 @@ impl FlatScenario {
 impl ScenarioView for FlatScenario {
     #[inline]
     fn attempt_duration(&self, process: usize, attempt: usize) -> Time {
-        if attempt < self.attempts {
-            self.durations[process * self.attempts + attempt]
-        } else {
-            self.overflow[process]
-        }
+        self.attempt(process, attempt).0
     }
 
     #[inline]
     fn attempt_faulty(&self, process: usize, attempt: usize) -> bool {
-        attempt < self.attempts && self.faulty[process * self.attempts + attempt]
+        // `hits[p] <= fault_count < attempts`, so reads past the table
+        // saturate to no fault.
+        attempt < self.hits[process]
     }
 
     #[inline]
     fn attempt(&self, process: usize, attempt: usize) -> (Time, bool) {
-        if attempt < self.attempts {
-            let i = process * self.attempts + attempt;
-            (self.durations[i], self.faulty[i])
+        let faulty = attempt < self.hits[process];
+        let ms = if attempt < self.attempts {
+            let slot = self.slots[process * self.attempts + attempt];
+            if self.mapped {
+                slot
+            } else {
+                self.ranges[process].map(slot)
+            }
         } else {
-            (self.overflow[process], false)
-        }
+            self.ranges[process].hi
+        };
+        (Time::from_ms(ms), faulty)
     }
 }
 
@@ -450,10 +472,10 @@ pub struct ScenarioSampler<'a> {
     app: &'a Application,
     model: FaultModel,
     /// Per-process `[bcet, wcet]` duration ranges with precomputed
-    /// division-free reciprocals, in process-index order.
-    ranges: Vec<FastRange>,
-    /// Per-process WCET, in process-index order (the saturation value).
-    wcet: Vec<Time>,
+    /// division-free reciprocals, in process-index order. Shared with the
+    /// [`FlatScenario`] buffers this sampler fills, which map their raw
+    /// slots through it.
+    ranges: Arc<[FastRange]>,
     /// The uniform fault-target range `0..n`.
     target: FastRange,
 }
@@ -476,15 +498,10 @@ impl<'a> ScenarioSampler<'a> {
                 FastRange::inclusive(t.bcet().as_ms(), t.wcet().as_ms())
             })
             .collect();
-        let wcet = app
-            .processes()
-            .map(|p| app.process(p).times().wcet())
-            .collect();
         ScenarioSampler {
             app,
             model,
             ranges,
-            wcet,
             target: FastRange::half_open(0, app.len() as u64),
         }
     }
@@ -503,13 +520,23 @@ impl<'a> ScenarioSampler<'a> {
     /// slot. For `fault_count <= k` under [`FaultModel::Independent`] the
     /// RNG draw sequence is bit-identical to the historical sampler.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, fault_count: usize) -> ExecutionScenario {
-        let k = self.app.faults().k;
-        let attempts = k.max(fault_count) + 1;
+        let attempts = self.app.faults().k.max(fault_count) + 1;
+        self.sample_with_attempts(rng, fault_count, attempts)
+    }
+
+    /// [`ScenarioSampler::sample`] with an explicit attempt-table width:
+    /// the boxed counterpart of [`ScenarioSampler::sample_into_with_attempts`].
+    fn sample_with_attempts<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        fault_count: usize,
+        attempts: usize,
+    ) -> ExecutionScenario {
         let n = self.app.len();
 
         // Durations first (matching the historical draw order exactly).
         let mut durations = Vec::with_capacity(n);
-        for fr in &self.ranges {
+        for fr in self.ranges.iter() {
             durations.push(
                 (0..attempts)
                     .map(|_| self.draw_duration(rng, fr))
@@ -525,7 +552,7 @@ impl<'a> ScenarioSampler<'a> {
             .iter()
             .map(|&c| (0..attempts).map(|a| a < c).collect())
             .collect();
-        let overflow_duration = self.wcet.clone();
+        let overflow_duration = self.ranges.iter().map(|r| Time::from_ms(r.hi)).collect();
         ExecutionScenario {
             durations,
             faulty,
@@ -645,9 +672,9 @@ impl<'a> ScenarioSampler<'a> {
     /// Refills `out` with one sampled scenario, allocating nothing after
     /// the first call on a given buffer.
     ///
-    /// Draws the *identical* RNG sequence as [`ScenarioSampler::sample`]
+    /// Consumes the *identical* RNG sequence as [`ScenarioSampler::sample`]
     /// with the same `fault_count` (attempt tables sized to
-    /// `max(k, fault_count) + 1`), so a runtime consuming the flat buffer
+    /// `max(k, fault_count) + 1`), so a runtime reading the flat buffer
     /// sees bit-identical scenarios.
     pub fn sample_into<R: Rng + ?Sized>(
         &self,
@@ -672,6 +699,13 @@ impl<'a> ScenarioSampler<'a> {
     /// in-model sweep (all intensities `<= k`) is unchanged by CRN: every
     /// column already uses `k + 1` attempts.
     ///
+    /// The fill consumes one generator output per attempt slot, in the
+    /// process-major order `sample` draws durations in, and stores it
+    /// unmapped; the buffer maps a slot only when the runtime reads it
+    /// (see [`FlatScenario`]). [`FaultModel::WcetStress`] slots are
+    /// mapped here, since an overrun draws a further output. The fault
+    /// plan follows, as in `sample`.
+    ///
     /// # Panics
     ///
     /// Panics if `attempts < max(k, fault_count) + 1` (a planned fault
@@ -690,31 +724,25 @@ impl<'a> ScenarioSampler<'a> {
         );
         let n = self.app.len();
 
-        out.processes = n;
         out.attempts = attempts;
         out.fault_count = fault_count;
-        out.durations.resize(n * attempts, Time::ZERO);
-        out.overflow.clear();
-        out.overflow.extend_from_slice(&self.wcet);
+        if !Arc::ptr_eq(&out.ranges, &self.ranges) {
+            out.ranges = Arc::clone(&self.ranges);
+        }
+        out.slots.resize(n * attempts, 0);
 
         // Durations first, process-major — the same draw order as
-        // `sample`. The model match is hoisted out of the draw loop: every
-        // non-stress model draws `Time::from_ms(fr.draw(rng))`, exactly
-        // what `draw_duration` computes per call.
-        match self.model {
-            FaultModel::WcetStress { .. } => {
-                for (slots, fr) in out.durations.chunks_exact_mut(attempts).zip(&self.ranges) {
-                    for slot in slots {
-                        *slot = self.draw_duration(rng, fr);
-                    }
+        // `sample`.
+        out.mapped = matches!(self.model, FaultModel::WcetStress { .. });
+        if out.mapped {
+            for (slots, fr) in out.slots.chunks_exact_mut(attempts).zip(self.ranges.iter()) {
+                for slot in slots {
+                    *slot = self.draw_duration(rng, fr).as_ms();
                 }
             }
-            _ => {
-                for (slots, fr) in out.durations.chunks_exact_mut(attempts).zip(&self.ranges) {
-                    for slot in slots {
-                        *slot = Time::from_ms(fr.draw(rng));
-                    }
-                }
+        } else {
+            for slot in &mut out.slots {
+                *slot = rng.next_u64();
             }
         }
 
@@ -726,17 +754,6 @@ impl<'a> ScenarioSampler<'a> {
             out.hits.resize(n, 0);
         }
         self.place_faults(rng, fault_count, &mut out.hits);
-        if out.faulty.len() == n * attempts {
-            out.faulty.fill(false);
-        } else {
-            out.faulty.clear();
-            out.faulty.resize(n * attempts, false);
-        }
-        for (p, &c) in out.hits.iter().enumerate() {
-            for a in 0..c {
-                out.faulty[p * attempts + a] = true;
-            }
-        }
     }
 
     /// One attempt-duration draw under this sampler's model. Factored out
@@ -810,7 +827,7 @@ mod tests {
     use super::*;
     use ftqs_core::{ExecutionTimes, FaultModel as DesignFaults, UtilityFunction};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn t(ms: u64) -> Time {
         Time::from_ms(ms)
@@ -1090,6 +1107,59 @@ mod tests {
     }
 
     #[test]
+    fn lazy_flat_reads_match_the_boxed_scenario() {
+        // Every read of a lazily filled buffer, saturation past the table
+        // included, must equal the boxed scenario drawn from the same
+        // stream. One buffer serves every fill: the apps alternate inside
+        // the model loop, and two consecutive ones share a size, so a
+        // range table kept from an earlier sampler would show.
+        use ftqs_workloads::{family, Family};
+        let apps: Vec<Application> = [5usize, 20, 20, 10, 40]
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| family::build(Family::Fig9, size, 0x1A2E + i as u64))
+            .collect();
+        let mut flat = FlatScenario::new();
+        for name in FAULT_MODEL_NAMES {
+            let model = FaultModel::preset(name).unwrap();
+            for (i, app) in apps.iter().enumerate() {
+                let sampler = ScenarioSampler::with_model(app, model);
+                let k = app.faults().k;
+                for f in 0..=2 * k {
+                    // The plan's own width, and the CRN width of a 0..=2k
+                    // sweep for the in-model columns.
+                    let crn = (f <= k).then_some(2 * k + 1);
+                    for attempts in std::iter::once(k.max(f) + 1).chain(crn) {
+                        let seed = 0x5EED ^ ((i as u64) << 8) ^ ((f as u64) << 16);
+                        let mut boxed_rng = StdRng::seed_from_u64(seed);
+                        let boxed = sampler.sample_with_attempts(&mut boxed_rng, f, attempts);
+                        if attempts == k.max(f) + 1 {
+                            assert_eq!(boxed, sampler.sample(&mut StdRng::seed_from_u64(seed), f));
+                        }
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        sampler.sample_into_with_attempts(&mut rng, f, attempts, &mut flat);
+                        // Both fills consumed the same stream.
+                        assert_eq!(rng.next_u64(), boxed_rng.next_u64());
+                        assert_eq!(flat.processes(), app.len());
+                        assert_eq!(flat.attempts(), attempts);
+                        assert_eq!(flat.fault_count(), f);
+                        for p in 0..app.len() {
+                            for a in 0..attempts + 2 {
+                                let want = boxed.attempt(p, a);
+                                let ctx =
+                                    format!("{name} app {i} f={f} width {attempts} p={p} a={a}");
+                                assert_eq!(flat.attempt(p, a), want, "{ctx}");
+                                assert_eq!(flat.attempt_duration(p, a), want.0, "{ctx}");
+                                assert_eq!(flat.attempt_faulty(p, a), want.1, "{ctx}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn fast_range_matches_gen_range_bit_for_bit() {
         // The division-free draw must reproduce the vendored `gen_range`
         // exactly for every envelope shape: degenerate points, powers of
@@ -1114,6 +1184,18 @@ mod tests {
                     b.gen_range(lo..=hi),
                     "draw diverged for [{lo}, {hi}]"
                 );
+            }
+        }
+        // Random envelopes of every bit width.
+        let mut shapes = StdRng::seed_from_u64(0x5A9E);
+        for _ in 0..2000 {
+            let lo = shapes.next_u64() >> shapes.gen_range(0..64u64);
+            let hi = lo.saturating_add(shapes.next_u64() >> shapes.gen_range(0..64u64));
+            let fr = FastRange::inclusive(lo, hi);
+            let mut a = StdRng::seed_from_u64(lo ^ hi);
+            let mut b = a.clone();
+            for _ in 0..20 {
+                assert_eq!(fr.draw(&mut a), b.gen_range(lo..=hi), "[{lo}, {hi}]");
             }
         }
         // Half-open construction mirrors `gen_range(lo..hi)`.

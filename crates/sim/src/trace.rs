@@ -9,6 +9,7 @@
 //! monomorphizes to zero event work — events are never even constructed)
 //! while debugging and the CLI `--trace` path plug in a real [`Trace`].
 
+use crate::stats::FIXED_NOTATION_LIMIT;
 use ftqs_core::Time;
 use ftqs_graph::NodeId;
 use std::fmt;
@@ -187,9 +188,18 @@ impl Trace {
                     process,
                     at,
                     utility,
-                } => writeln!(
+                } if utility.abs() < FIXED_NOTATION_LIMIT => writeln!(
                     out,
                     "{at:>8}  done     {} (utility {utility:.1})",
+                    name(*process)
+                ),
+                TraceEvent::Completed {
+                    process,
+                    at,
+                    utility,
+                } => writeln!(
+                    out,
+                    "{at:>8}  done     {} (utility {utility:.3e})",
                     name(*process)
                 ),
                 TraceEvent::Fault {
