@@ -27,9 +27,8 @@ use ftqs_core::{Application, Engine, QuasiStaticTree, SynthesisRequest, Time};
 use ftqs_service::{transport, Service, ServiceConfig};
 use ftqs_sim::stats::Readable;
 use ftqs_sim::{
-    DegradationVerdict, ExecutionScenario, FaultModel, FlatRuntime, FlatScenario,
-    GreedyOnlineScheduler, MonteCarlo, NoTrace, OnlineScheduler, RunScratch, ScenarioSampler,
-    Trace, FAULT_MODEL_NAMES,
+    DegradationVerdict, ExecutionScenario, FaultModel, FlatRuntime, FlatScenario, MonteCarlo,
+    NoTrace, RunScratch, ScenarioSampler, Trace, FAULT_MODEL_NAMES,
 };
 use ftqs_workloads::spec;
 use rand::rngs::StdRng;
@@ -453,8 +452,6 @@ pub struct CompareRow {
     pub ftss: f64,
     /// Mean utility of the FTSF baseline.
     pub ftsf: f64,
-    /// Mean utility of the purely online greedy scheduler.
-    pub greedy: f64,
 }
 
 /// Machine-readable result of `ftqs compare`.
@@ -472,8 +469,10 @@ pub struct CompareReport {
 }
 
 /// `ftqs compare <spec> [--scenarios N] [--budget N] [--seed S]` — mean
-/// utility of FTQS / FTSS / FTSF / the purely online greedy scheduler over
-/// identical scenarios, per fault count.
+/// utility of FTQS / FTSS / FTSF over identical scenarios, per fault
+/// count. Each fault count draws its scenarios from one stream seeded
+/// `seed ^ f << 32`, and every policy runs each scenario on its own
+/// [`FlatRuntime`].
 ///
 /// # Errors
 ///
@@ -497,23 +496,24 @@ pub fn compare(
     let baseline = session
         .synthesize(&app, &SynthesisRequest::ftsf())?
         .into_tree();
-    let greedy = GreedyOnlineScheduler::new(&app);
+    let runtimes = [&tree, &single, &baseline].map(|t| FlatRuntime::new(&app, t));
     let sampler = ScenarioSampler::new(&app);
+    let mut scenario = FlatScenario::new();
+    let mut scratch = RunScratch::new();
 
     let mut rows = Vec::with_capacity(k + 1);
     for f in 0..=k {
-        let mut sums = [0.0f64; 4];
+        let mut sums = [0.0f64; 3];
         let mut rng = StdRng::seed_from_u64(seed ^ (f as u64) << 32);
         for _ in 0..scenarios {
-            let sc = sampler.sample(&mut rng, f);
-            for (slot, t) in [&tree, &single, &baseline].into_iter().enumerate() {
-                let o = OnlineScheduler::new(&app, t).run(&sc);
+            sampler.sample_into(&mut rng, f, &mut scenario);
+            for (sum, runtime) in sums.iter_mut().zip(&runtimes) {
+                let o = runtime.run_cycle(&scenario, &mut scratch, &mut NoTrace);
                 if o.deadline_miss.is_some() {
                     return Err("hard deadline missed".into());
                 }
-                sums[slot] += o.utility;
+                *sum += o.utility;
             }
-            sums[3] += greedy.run(&sc).utility;
         }
         let n = scenarios.max(1) as f64;
         rows.push(CompareRow {
@@ -521,7 +521,6 @@ pub fn compare(
             ftqs: sums[0] / n,
             ftss: sums[1] / n,
             ftsf: sums[2] / n,
-            greedy: sums[3] / n,
         });
     }
     let report = CompareReport {
@@ -536,24 +535,20 @@ pub fn compare(
             let mut out = String::new();
             let _ = writeln!(
                 out,
-                "{:>7} {:>10} {:>10} {:>10} {:>10}",
-                "faults", "FTQS", "FTSS", "FTSF", "greedy"
+                "{:>7} {:>10} {:>10} {:>10}",
+                "faults", "FTQS", "FTSS", "FTSF"
             );
             for r in &report.rows {
                 let _ = writeln!(
                     out,
-                    "{:>7} {:>10} {:>10} {:>10} {:>10}",
+                    "{:>7} {:>10} {:>10} {:>10}",
                     r.faults,
                     Readable(r.ftqs),
                     Readable(r.ftss),
-                    Readable(r.ftsf),
-                    Readable(r.greedy)
+                    Readable(r.ftsf)
                 );
             }
-            let _ = writeln!(
-                out,
-                "\n(identical scenario streams per row; greedy decides online at O(n^2) per decision)"
-            );
+            let _ = writeln!(out, "\n(identical scenario streams per row)");
             Ok(out)
         }
     }
@@ -779,8 +774,7 @@ pub fn trace_average(source: &str, budget: usize) -> Result<String, CliError> {
     let tree = session
         .synthesize(&app, &SynthesisRequest::ftqs(budget))?
         .into_tree();
-    let runner = OnlineScheduler::new(&app, &tree);
-    let out = runner.run(&ExecutionScenario::average_case(&app));
+    let out = FlatRuntime::new(&app, &tree).run(&ExecutionScenario::average_case(&app));
     Ok(format!(
         "utility {}\n{}",
         Readable(out.utility),
@@ -1225,7 +1219,7 @@ mod tests {
     fn compare_lists_all_schedulers() {
         let s = compare("--example", 50, 4, 3, OutputFormat::Text).unwrap();
         assert!(s.contains("FTQS"));
-        assert!(s.contains("greedy"));
+        assert!(s.contains("FTSF"));
         // One row per fault count 0..=k (k = 1 for the example).
         assert_eq!(
             s.lines()

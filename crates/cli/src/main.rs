@@ -13,7 +13,7 @@
 //! ftqs simulate <spec> [--cycles N] [--faults F] [--seed S] [--budget N]
 //!                      [--model NAME] [--trace]
 //! ftqs compare <spec> [--scenarios N] [--budget N] [--seed S] [--format json]
-//!                                           FTQS/FTSS/FTSF/greedy (CompareReport)
+//!                                           FTQS/FTSS/FTSF (CompareReport)
 //! ftqs robustness <spec> [--scenarios N] [--budget N] [--seed S] [--model NAME]
 //!                        [--format json]   degradation sweep 0..=2k (RobustnessReport)
 //! ftqs trace <spec> [--budget N]            trace one average-case cycle

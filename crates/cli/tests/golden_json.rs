@@ -1,11 +1,11 @@
-//! Golden-output tests for the CLI's `--format json` reports and `ftqs
-//! serve` response lines.
+//! Golden-output tests for the CLI's `--format json` reports, `ftqs
+//! serve` response lines and `ftqs trace` text.
 //!
 //! The JSON shapes are an interface: batch pipelines and embedded-runtime
 //! tooling parse them, so field order (serde declaration order) and value
 //! layout must stay stable. Each golden file under `tests/golden/` is the
-//! exact expected output on the paper's Fig. 1 example with fixed seeds;
-//! the wall-clock fields — `timing.synthesis_micros`, and on a response
+//! exact expected output with fixed seeds, on the paper's Fig. 1 example
+//! unless its name says otherwise; the wall-clock fields — `timing.synthesis_micros`, and on a response
 //! line also `queued_micros` and `service_micros` — are normalized to 0 on
 //! both sides before comparison.
 //!
@@ -16,13 +16,16 @@
 //! cargo run -p ftqs-cli --bin ftqs -- compare --example --scenarios 50 --budget 4 --seed 3 --format json
 //! cargo run -p ftqs-cli --bin ftqs -- info --example --format json
 //! cargo run -p ftqs-cli --bin ftqs -- serve <batch>   # the one request of `serve_line_matches_golden`
+//! cargo run -p ftqs-cli --bin ftqs -- trace --example --budget 4
+//! cargo run -p ftqs-cli --bin ftqs -- trace <fig9.spec> --budget 8   # the spec of `trace_fig9_matches_golden`
 //! ```
 //!
 //! (normalize the wall-clock fields to 0 by hand) — and read the diff;
 //! every changed line is a consumer-visible schema change.
 
 use ftqs_cli::{compare, info, run, tree, OutputFormat, TreeFormat};
-use ftqs_workloads::spec::FIG1_SPEC;
+use ftqs_workloads::spec::{self, FIG1_SPEC};
+use ftqs_workloads::{family, Family};
 use serde::Value;
 
 /// Zeroes the integer after every occurrence of each of `needles`.
@@ -166,6 +169,43 @@ fn serve_line_matches_golden() {
             &wall_clock
         ),
         "serve response line drifted from the golden (see module docs)"
+    );
+}
+
+#[test]
+fn trace_matches_golden() {
+    let args: Vec<String> = ["trace", "--example", "--budget", "4"]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    let actual = run(&args).unwrap();
+    assert_eq!(
+        actual,
+        include_str!("golden/trace_fig1_budget4.txt"),
+        "trace --example --budget 4 drifted from the golden"
+    );
+}
+
+#[test]
+fn trace_fig9_matches_golden() {
+    // A fig9 app whose average-case cycle drops a process statically and
+    // switches schedules mid-cycle.
+    let path = std::env::temp_dir().join(format!("ftqs-golden-fig9-{}.spec", std::process::id()));
+    std::fs::write(&path, spec::render(&family::build(Family::Fig9, 10, 5))).unwrap();
+    let args: Vec<String> = vec![
+        "trace".to_string(),
+        path.display().to_string(),
+        "--budget".to_string(),
+        "8".to_string(),
+    ];
+    let actual = run(&args);
+    std::fs::remove_file(&path).unwrap();
+    let actual = actual.unwrap();
+    assert!(actual.contains("(static)") && actual.contains("switch   node 0 -> node 2"));
+    assert_eq!(
+        actual,
+        include_str!("golden/trace_fig9_10_seed5_budget8.txt"),
+        "trace of fig9 size 10 seed 5 at budget 8 drifted from the golden"
     );
 }
 

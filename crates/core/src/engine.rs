@@ -56,7 +56,7 @@
 //! # }
 //! ```
 
-use crate::digest::{application_digest, ContentDigest, Hasher};
+use crate::digest::{ContentDigest, Hasher};
 use crate::fschedule::CompiledUtilities;
 use crate::ftqs::{ftqs_prepared, ftqs_with, ExpansionPolicy, ExpansionStats, FtqsConfig};
 use crate::ftsf::ftsf_with;
@@ -297,7 +297,8 @@ impl SynthesisRequest {
 /// This is the cacheable synthesis artifact handle. A `PreparedApp` is
 /// immutable, `Send + Sync`, and cheap to share behind an [`Arc`], for
 /// callers that synthesize one application under many requests; a cache
-/// of them is keyed by [`PreparedApp::digest`] combined with
+/// of them is keyed by an application digest the caller computes (such
+/// as [`crate::application_digest`]) combined with
 /// [`Engine::config_digest`] / [`SynthesisRequest::knob_digest`].
 /// [`Session::synthesize_prepared`]
 /// runs against one without re-deriving any per-application table, and
@@ -313,7 +314,6 @@ pub struct PreparedApp {
     app: Arc<Application>,
     model: AppModel,
     compiled: CompiledUtilities,
-    digest: ContentDigest,
 }
 
 impl PreparedApp {
@@ -326,14 +326,12 @@ impl PreparedApp {
     /// Prepares an already-shared application without cloning it.
     #[must_use]
     pub fn from_arc(app: Arc<Application>) -> Self {
-        let digest = application_digest(&app);
         let model = AppModel::build_shared(Arc::clone(&app));
         let compiled = CompiledUtilities::build(&app);
         PreparedApp {
             app,
             model,
             compiled,
-            digest,
         }
     }
 
@@ -341,19 +339,6 @@ impl PreparedApp {
     #[must_use]
     pub fn app(&self) -> &Application {
         &self.app
-    }
-
-    /// A shared handle to the prepared application.
-    #[must_use]
-    pub fn app_arc(&self) -> Arc<Application> {
-        Arc::clone(&self.app)
-    }
-
-    /// Content digest of the prepared application (see
-    /// [`crate::application_digest`]).
-    #[must_use]
-    pub fn digest(&self) -> ContentDigest {
-        self.digest
     }
 }
 
@@ -777,17 +762,6 @@ mod tests {
             );
             assert_eq!(cold.dropped, warm.dropped);
         }
-    }
-
-    #[test]
-    fn prepared_app_reports_a_stable_application_digest() {
-        let app = fig1_app();
-        let prepared = PreparedApp::new(&app);
-        assert_eq!(prepared.digest(), crate::application_digest(&app));
-        assert_eq!(
-            prepared.digest(),
-            PreparedApp::from_arc(prepared.app_arc()).digest()
-        );
     }
 
     #[test]

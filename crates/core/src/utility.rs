@@ -330,13 +330,12 @@ impl UtilityFunction {
 /// **bit-identical** to the interpreted walk — the property tests pin
 /// this on dense grids for every shape.
 ///
-/// [`CompiledUtility::sweep_into`] evaluates a whole ascending sample
-/// grid in one forward merge over the slots — O(samples + breakpoints)
-/// instead of the O(samples × breakpoints) of repeated scalar walks — and
-/// [`CompiledUtility::accumulate_shifted`] is the fused
-/// `acc[j] += scale * value(grid[j] + offset)` form the interval-
-/// partitioning sweep is built on (see [`crate::ftqs`]'s Performance
-/// notes).
+/// [`CompiledUtility::accumulate_shifted`] evaluates a whole ascending
+/// sample grid in one forward merge over the slots — O(samples +
+/// breakpoints) instead of the O(samples × breakpoints) of repeated
+/// scalar walks — in the fused `acc[j] += scale * value(grid[j] + offset)`
+/// form the interval-partitioning sweep is built on (see
+/// [`crate::ftqs`]'s Performance notes).
 ///
 /// Construction normalizes `-0.0` values to `+0.0` (the two compare equal
 /// everywhere; normalizing keeps the flat-slot evaluation exact).
@@ -438,45 +437,6 @@ impl CompiledUtility {
     pub fn value(&self, t: Time) -> f64 {
         let t_ms = t.as_ms();
         self.eval_in_slot(self.slot_of(t_ms), t_ms)
-    }
-
-    /// Fills `out[i] = value(lo + i·step)` for the whole ascending sample
-    /// grid in one forward merge pass over the slots: each slot's sample
-    /// range is located once and filled with a tight loop the compiler
-    /// autovectorizes, so the cost is O(samples + breakpoints).
-    ///
-    /// `step` must be non-zero.
-    pub fn sweep_into(&self, lo: Time, step: Time, out: &mut [f64]) {
-        let lo = lo.as_ms();
-        let step = step.as_ms();
-        assert!(step > 0, "sweep grids need a non-zero step");
-        let n = out.len();
-        let mut i = 0usize;
-        for idx in 0..=self.bounds.len() {
-            if i >= n {
-                break;
-            }
-            // Samples in slot `idx`: those with `lo + i·step <= hi`.
-            let end = match self.bounds.get(idx) {
-                Some(&hi) if hi < lo => i,
-                Some(&hi) => n.min(((hi - lo) / step + 1) as usize),
-                None => n,
-            };
-            if end <= i {
-                continue;
-            }
-            if self.delta[idx] == 0.0 {
-                out[i..end].fill(self.base[idx] + 0.0);
-            } else {
-                let (base, delta) = (self.base[idx], self.delta[idx]);
-                let (t0, denom) = (self.seg_start[idx], self.denom[idx]);
-                for (j, slot) in out.iter_mut().enumerate().take(end).skip(i) {
-                    let t = lo + j as u64 * step;
-                    *slot = base + delta * ((t - t0) as f64 / denom);
-                }
-            }
-            i = end;
-        }
     }
 
     /// Accumulates `acc[j] += scale * value(grid[j] + offset)` over an

@@ -3,8 +3,7 @@
 //! degenerate single-point/single-step/adjacent-ms cases —
 //! [`CompiledUtility::value`] must be **bit-identical** to the
 //! interpreted [`UtilityFunction::value`] on dense integer grids, and the
-//! batched [`CompiledUtility::sweep_into`] /
-//! [`CompiledUtility::accumulate_shifted`] fills must reproduce the
+//! batched [`CompiledUtility::accumulate_shifted`] fill must reproduce the
 //! per-sample scalar evaluation exactly. Cases are generated from
 //! explicit seeds (no proptest in this environment); a failing seed
 //! reproduces the case.
@@ -96,30 +95,6 @@ fn compiled_value_is_bit_identical_on_dense_grids() {
                 c.value(t(ms)).to_bits(),
                 "seed {seed}"
             );
-        }
-    }
-}
-
-#[test]
-fn sweep_into_matches_per_sample_scalar_evaluation() {
-    for seed in 0..CASES {
-        let (f, horizon) = random_function(seed);
-        let c = f.compiled();
-        let mut rng = StdRng::seed_from_u64(0x5EED ^ seed);
-        for _ in 0..4 {
-            let lo = rng.gen_range(0..=horizon);
-            let step = rng.gen_range(1u64..=17);
-            let n = rng.gen_range(1usize..=80);
-            let mut out = vec![f64::NAN; n];
-            c.sweep_into(t(lo), t(step), &mut out);
-            for (i, &got) in out.iter().enumerate() {
-                let want = f.value(t(lo + i as u64 * step));
-                assert_eq!(
-                    want.to_bits(),
-                    got.to_bits(),
-                    "seed {seed} lo {lo} step {step} i {i}: scalar {want} vs sweep {got}"
-                );
-            }
         }
     }
 }

@@ -8,7 +8,9 @@
 //! resolving, preparing or synthesizing anything. The type parameter
 //! defaults to [`PreparedApp`] (the owned model tables and compiled
 //! utilities a synthesis run needs) for callers that cache the
-//! per-application artifact instead. A hit costs one lock acquisition and
+//! per-application artifact instead; they key it by a digest they compute,
+//! such as [`ftqs_core::application_digest`], since a `PreparedApp`
+//! carries none. A hit costs one lock acquisition and
 //! one `Arc` clone; whatever the caller does with the value runs outside
 //! the lock.
 //!

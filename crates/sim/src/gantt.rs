@@ -18,15 +18,14 @@ use std::fmt::Write as _;
 ///
 /// ```
 /// use ftqs_core::{Engine, SynthesisRequest};
-/// use ftqs_sim::{gantt, ExecutionScenario, OnlineScheduler};
+/// use ftqs_sim::{gantt, ExecutionScenario, FlatRuntime};
 /// # use ftqs_core::{Application, ExecutionTimes, FaultModel, Time, UtilityFunction};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// # let mut b = Application::builder(Time::from_ms(300), FaultModel::new(1, Time::from_ms(10)));
 /// # b.add_hard("P1", ExecutionTimes::uniform(30.into(), 70.into())?, Time::from_ms(180));
 /// # let app = b.build()?;
-/// let report = Engine::new().session().synthesize(&app, &SynthesisRequest::ftss())?;
-/// let out =
-///     OnlineScheduler::run_static(&app, report.root_schedule(), &ExecutionScenario::average_case(&app));
+/// let tree = Engine::new().session().synthesize(&app, &SynthesisRequest::ftss())?.into_tree();
+/// let out = FlatRuntime::new(&app, &tree).run(&ExecutionScenario::average_case(&app));
 /// let chart = gantt::render(&app, &out.trace, 60);
 /// assert!(chart.contains("P1"));
 /// # Ok(())

@@ -13,22 +13,24 @@
 //!   bursty, intermittent and WCET-stress variants for robustness
 //!   studies — not to be confused with the *design-side*
 //!   `ftqs_core::FaultModel`, which is the `(k, µ)` contract).
-//! * [`OnlineScheduler`] — the runtime of the paper's §3: executes a
-//!   [`QuasiStaticTree`](ftqs_core::QuasiStaticTree), re-executing faulted
-//!   processes inside the shared recovery slack and switching schedules on
-//!   completion-time conditions. Out-of-model scenarios (more than `k`
-//!   faults, WCET overruns) degrade gracefully and are labelled with a
-//!   [`DegradationVerdict`].
+//! * [`FlatRuntime`] + [`BatchRunner`] — the runtime of the paper's §3:
+//!   executes a [`QuasiStaticTree`](ftqs_core::QuasiStaticTree),
+//!   re-executing faulted processes inside the shared recovery slack and
+//!   switching schedules on completion-time conditions. Out-of-model
+//!   scenarios (more than `k` faults, WCET overruns) degrade gracefully
+//!   and are labelled with a [`DegradationVerdict`].
+//! * [`OnlineScheduler`] — the readable tree-walk *reference* runtime the
+//!   flat one is pinned against, kept for tests and benches.
 //! * [`MonteCarlo`] — the 20,000-scenario evaluation harness of §6, with
 //!   per-intensity degradation aggregation for the robustness bench.
 //! * [`Trace`] — per-cycle event logs for inspection and debugging.
 //!
 //! # Runtime: the flat image and batched execution
 //!
-//! [`OnlineScheduler`] is the readable *reference* runtime;
-//! [`FlatRuntime`] + [`BatchRunner`] (module [`runtime`]) are the
-//! production path every Monte Carlo evaluation runs on. The division of
-//! labour:
+//! [`FlatRuntime`] + [`BatchRunner`] (module [`runtime`]) are the path
+//! every caller runs on: single cycles, traces and Monte Carlo batches.
+//! [`OnlineScheduler`] walks the tree directly and serves only as the
+//! reference. The division of labour:
 //!
 //! * **Flat image layout** — [`FlatRuntime`] is built once per tree and
 //!   holds everything the scenario loop touches as dense
@@ -61,11 +63,11 @@
 //! The flat runtime is pinned **bit-identical** to [`OnlineScheduler`] —
 //! utilities, verdicts, completions *and traces* — by the
 //! `flat_runtime` integration suite, across fault models × policies ×
-//! in/out-of-model intensities, in both feature configurations.
+//! in/out-of-model intensities, at every worker count.
 //!
 //! ```
 //! use ftqs_core::{Engine, SynthesisRequest};
-//! use ftqs_sim::{MonteCarlo, OnlineScheduler, ExecutionScenario};
+//! use ftqs_sim::{ExecutionScenario, FlatRuntime, MonteCarlo};
 //! # use ftqs_core::{Application, ExecutionTimes, FaultModel, Time, UtilityFunction};
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! # let mut b = Application::builder(Time::from_ms(300), FaultModel::new(1, Time::from_ms(10)));
@@ -78,6 +80,8 @@
 //! let mc = MonteCarlo { scenarios: 1_000, seed: 1, threads: 2 };
 //! let eval = mc.evaluate(&app, &tree, 1); // scenarios with one fault
 //! assert_eq!(eval.deadline_misses, 0);
+//! let out = FlatRuntime::new(&app, &tree).run(&ExecutionScenario::average_case(&app));
+//! assert!(out.deadline_miss.is_none());
 //! # Ok(())
 //! # }
 //! ```
@@ -86,7 +90,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod gantt;
-pub mod greedy;
 pub mod montecarlo;
 pub mod online;
 pub mod runtime;
@@ -94,7 +97,6 @@ pub mod scenario;
 pub mod stats;
 pub mod trace;
 
-pub use greedy::{GreedyOnlineScheduler, GreedyOutcome};
 pub use montecarlo::{Evaluation, MonteCarlo};
 pub use online::{DegradationVerdict, OnlineScheduler, SimOutcome};
 pub use runtime::{BatchRunner, CycleOutcome, FlatRuntime, RunScratch};

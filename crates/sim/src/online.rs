@@ -1,5 +1,9 @@
-//! The online scheduler: executes a quasi-static tree (or a single
-//! f-schedule wrapped in a one-node tree) against an execution scenario.
+//! The tree-walk reference runtime: executes a quasi-static tree (or a
+//! single f-schedule wrapped in a one-node tree) against an execution
+//! scenario by walking the tree directly. Callers run on
+//! [`FlatRuntime`](crate::FlatRuntime), which is pinned bit-identical to
+//! this walk; [`OnlineScheduler`] stays as the readable statement of the
+//! semantics that tests and benches compare against.
 //!
 //! The runtime mirrors the paper's model:
 //!

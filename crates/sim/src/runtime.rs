@@ -39,7 +39,7 @@
 //! structure, same f64 operation order — so outcomes, verdicts, utilities
 //! and traces are **bit-identical** to the reference (pinned by the
 //! `flat_runtime` integration suite across fault models, policies, and
-//! in/out-of-model intensities, in both feature configurations).
+//! in/out-of-model intensities, at every worker count).
 //!
 //! [`BatchRunner`] adds the Monte Carlo batching contract on top (see
 //! `crate::montecarlo` for the RNG-stream contract it shares with the

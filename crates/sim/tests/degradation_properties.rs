@@ -10,7 +10,7 @@
 //!   sampler plumbing.
 //! * **Out-of-model**: scenarios planning up to `2k` faults and WCET
 //!   overruns always simulate to completion with a `DegradationVerdict`
-//!   — no panics — for all three policies and the greedy baseline.
+//!   — no panics — for all three policies.
 //!
 //! Plus the bit-identity pins: the default independent-uniform model must
 //! reproduce the historical sampler exactly (scenario digests and Monte
@@ -21,8 +21,7 @@ use ftqs_core::{
     SynthesisRequest, Time, UtilityFunction,
 };
 use ftqs_sim::{
-    DegradationVerdict, FaultModel, GreedyOnlineScheduler, MonteCarlo, OnlineScheduler,
-    ScenarioSampler, FAULT_MODEL_NAMES,
+    DegradationVerdict, FaultModel, MonteCarlo, OnlineScheduler, ScenarioSampler, FAULT_MODEL_NAMES,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -204,7 +203,6 @@ fn out_of_model_scenarios_always_return_a_verdict() {
         let ftqs = OnlineScheduler::new(&app, &tree);
         let ftss = synth_static(&app, &SynthesisRequest::ftss());
         let ftsf = synth_static(&app, &SynthesisRequest::ftsf());
-        let greedy = GreedyOnlineScheduler::new(&app);
         for name in FAULT_MODEL_NAMES {
             let model = FaultModel::preset(name).unwrap();
             let sampler = ScenarioSampler::with_model(&app, model);
@@ -245,9 +243,6 @@ fn out_of_model_scenarios_always_return_a_verdict() {
                         }
                     }
                 }
-                // The greedy baseline must also stay total out-of-model.
-                let g = greedy.run(&sc);
-                let _ = g.utility;
             }
         }
     }

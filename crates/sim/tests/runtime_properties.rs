@@ -9,7 +9,7 @@ use ftqs_core::{
     Application, Engine, ExecutionTimes, FSchedule, FaultModel, QuasiStaticTree, StaleCoefficients,
     SynthesisRequest, Time, UtilityFunction,
 };
-use ftqs_sim::{ExecutionScenario, GreedyOnlineScheduler, OnlineScheduler, ScenarioSampler};
+use ftqs_sim::{ExecutionScenario, OnlineScheduler, ScenarioSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,28 +69,6 @@ fn tree_runtime_never_misses_hard_deadlines() {
             assert!(
                 out.completions[h.index()].is_some(),
                 "hard process not run; case {app_seed}/{sc_seed}/{faults}"
-            );
-        }
-    }
-}
-
-#[test]
-fn greedy_runtime_never_misses_hard_deadlines() {
-    for (app_seed, sc_seed, faults) in cases() {
-        let app = build_app(app_seed);
-        let faults = faults.min(app.faults().k);
-        let runner = GreedyOnlineScheduler::new(&app);
-        let sampler = ScenarioSampler::new(&app);
-        let sc = sampler.sample(&mut StdRng::seed_from_u64(sc_seed), faults);
-        let out = runner.run(&sc);
-        assert!(
-            out.deadline_miss.is_none(),
-            "case {app_seed}/{sc_seed}/{faults}"
-        );
-        for h in app.hard_processes() {
-            assert!(
-                out.completions[h.index()].is_some(),
-                "case {app_seed}/{sc_seed}/{faults}"
             );
         }
     }

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .session()
         .synthesize(&app, &SynthesisRequest::ftqs(20))?
         .into_tree();
-    let runner = OnlineScheduler::new(&app, &tree);
+    let runner = FlatRuntime::new(&app, &tree);
     let sampler = ScenarioSampler::new(&app);
 
     println!(

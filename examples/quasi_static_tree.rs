@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Show one simulated cycle with switching.
-    let runner = OnlineScheduler::new(&app, &tree);
+    let runner = FlatRuntime::new(&app, &tree);
     let sampler = ScenarioSampler::new(&app);
     let mut rng = StdRng::seed_from_u64(99);
     for _ in 0..50 {

@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Replay three cycles ----------------------------------------------
-    let runner = OnlineScheduler::new(&app, &tree);
+    let runner = FlatRuntime::new(&app, &tree);
 
     let avg = runner.run(&ExecutionScenario::average_case(&app));
     println!("\naverage-case cycle: utility {:.1}", avg.utility);

@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("spec round-trip: {} processes preserved", reparsed.len());
 
     // One simulated cycle, drawn as a Gantt chart.
-    let runner = OnlineScheduler::new(&merged, &tree);
+    let runner = FlatRuntime::new(&merged, &tree);
     let out = runner.run(&ExecutionScenario::average_case(&merged));
     println!(
         "\naverage-case cycle (utility {:.1}):\n{}",

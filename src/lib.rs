@@ -10,7 +10,7 @@
 //! * [`graph`] — the DAG substrate ([`ftqs_graph`]),
 //! * [`core`] — the model and the FTSS/FTQS/FTSF algorithms
 //!   ([`ftqs_core`]),
-//! * [`sim`] — the online scheduler and Monte Carlo evaluation
+//! * [`sim`] — the flat runtime and Monte Carlo evaluation
 //!   ([`ftqs_sim`]),
 //! * [`workloads`] — synthetic generators and the cruise controller
 //!   ([`ftqs_workloads`]),
@@ -38,8 +38,8 @@
 //!
 //! let mut session = Engine::new().session();
 //! let report = session.synthesize(&app, &SynthesisRequest::ftqs(8))?;
-//! let runner = OnlineScheduler::new(&app, &report.tree);
-//! let outcome = runner.run(&ExecutionScenario::average_case(&app));
+//! let runtime = FlatRuntime::new(&app, &report.tree);
+//! let outcome = runtime.run(&ExecutionScenario::average_case(&app));
 //! assert!(outcome.deadline_miss.is_none());
 //! # Ok(())
 //! # }
@@ -62,8 +62,8 @@ pub mod prelude {
     };
     pub use ftqs_graph::{Dag, NodeId};
     pub use ftqs_sim::{
-        DegradationVerdict, ExecutionScenario, FaultModel as SimFaultModel, MonteCarlo,
-        OnlineScheduler, ScenarioSampler, SimOutcome,
+        DegradationVerdict, ExecutionScenario, FaultModel as SimFaultModel, FlatRuntime,
+        MonteCarlo, ScenarioSampler, SimOutcome,
     };
     pub use ftqs_workloads::{cruise_controller, GeneratorParams};
 }

@@ -1,7 +1,7 @@
 //! Public-API surface smoke test: the [`Engine`]/[`Session`] front door is
 //! the *only* synthesis entry point (the pre-0.2 free-function wrappers
 //! `ftss`/`ftqs`/`ftsf` are gone), and the artifacts it produces feed
-//! every downstream consumer — the online scheduler, the C exporter, and
+//! every downstream consumer — the flat runtime, the C exporter, and
 //! serde round-trips.
 
 use ftqs::prelude::*;
@@ -87,14 +87,14 @@ fn engine_errors_are_typed() {
 #[test]
 fn engine_artifacts_feed_the_downstream_consumers() {
     let app = fig1();
-    // An engine-built tree drives the online scheduler, the exporter, and
+    // An engine-built tree drives the flat runtime, the exporter, and
     // serde.
     let tree = Engine::new()
         .session()
         .synthesize(&app, &SynthesisRequest::ftqs(4))
         .unwrap()
         .into_tree();
-    let out = OnlineScheduler::new(&app, &tree).run(&ExecutionScenario::average_case(&app));
+    let out = FlatRuntime::new(&app, &tree).run(&ExecutionScenario::average_case(&app));
     assert!(out.deadline_miss.is_none());
 
     let header = ftqs::core::export::tree_to_c(&app, &tree, "smoke");
