@@ -7,10 +7,9 @@
 //! soft and hard processes as 50/50" (§6).
 //!
 //! Usage: `cargo run --release -p ftqs-bench --bin table1 [--apps N]
-//! [--scenarios N] [--seed N] [--policy most-similar|fifo|best] [--full]`
+//! [--scenarios N] [--seed N] [--full]`
 
 use ftqs_bench::{fault_sweep, normalize, print_row, Options};
-use ftqs_core::ftqs::ExpansionPolicy;
 use ftqs_core::{Engine, SynthesisRequest};
 use ftqs_sim::MonteCarlo;
 use ftqs_workloads::{presets, synthetic};
@@ -24,11 +23,6 @@ fn main() {
     let apps: usize = opts.value("--apps", if full { presets::TABLE1_APPS } else { 5 });
     let scenarios: usize = opts.value("--scenarios", if full { 20_000 } else { 1_000 });
     let seed: u64 = opts.value("--seed", 1u64);
-    let policy = match opts.value("--policy", "most-similar".to_string()).as_str() {
-        "fifo" => ExpansionPolicy::Fifo,
-        "best" => ExpansionPolicy::BestImprovement,
-        _ => ExpansionPolicy::MostSimilar,
-    };
 
     let mc = MonteCarlo {
         scenarios,
@@ -39,7 +33,7 @@ fn main() {
 
     println!("Table 1 — FTQS utility vs tree size, normalized to FTSS (100%)");
     println!(
-        "  {apps} application(s) of 30 processes (50/50 hard/soft), {scenarios} scenarios, policy {policy:?}, seed {seed}\n"
+        "  {apps} application(s) of 30 processes (50/50 hard/soft), {scenarios} scenarios, seed {seed}\n"
     );
     print_row(
         &["nodes", "kept", "0f", "1f", "2f", "3f", "time", "memory"].map(String::from),
@@ -72,10 +66,9 @@ fn main() {
         let mut memory_total = 0usize;
         let mut synth_time = std::time::Duration::ZERO;
         for (app, base) in set.iter().zip(&baselines) {
-            let request = SynthesisRequest::ftqs(m).with_expansion_policy(policy);
             let t0 = Instant::now();
             let report = session
-                .synthesize(app, &request)
+                .synthesize(app, &SynthesisRequest::ftqs(m))
                 .expect("schedulable by filter");
             synth_time += t0.elapsed();
             let tree = report.into_tree();
@@ -95,7 +88,7 @@ fn main() {
                 format!("{:.0}", norm[1] / n),
                 format!("{:.0}", norm[2] / n),
                 format!("{:.0}", norm[3] / n),
-                format!("{:.2}s", synth_time.as_secs_f64() / n),
+                format!("{:.2}ms", synth_time.as_secs_f64() * 1e3 / n),
                 format!("{:.1}kB", memory_total as f64 / n / 1024.0),
             ],
             8,

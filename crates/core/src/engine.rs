@@ -17,9 +17,8 @@
 //!   run.
 //! * A [`SynthesisRequest`] names the policy
 //!   ([`SynthesisPolicy::Ftss`] / [`SynthesisPolicy::Ftqs`] /
-//!   [`SynthesisPolicy::Ftsf`]) plus per-request settings: the FTQS
-//!   expansion policy, a validation override, a process-count limit, and
-//!   a parallelism cap.
+//!   [`SynthesisPolicy::Ftsf`]) plus per-request settings: a validation
+//!   override, a process-count limit, and a parallelism cap.
 //! * Every policy returns the same structured, serializable
 //!   [`SynthesisReport`] — the tree (single-node for FTSS/FTSF), tree
 //!   statistics, expected utility, dropped-process accounting, and
@@ -58,7 +57,7 @@
 
 use crate::digest::{ContentDigest, Hasher};
 use crate::fschedule::CompiledUtilities;
-use crate::ftqs::{ftqs_prepared, ftqs_with, ExpansionPolicy, ExpansionStats, FtqsConfig};
+use crate::ftqs::{ftqs_prepared, ftqs_with, ExpansionStats, FtqsConfig};
 use crate::ftsf::ftsf_with;
 use crate::ftss::{ftss_from_context, ftss_with, AppModel, FtssConfig, SynthesisScratch};
 use crate::tree::QuasiStaticTree;
@@ -132,15 +131,6 @@ impl Engine {
         }
     }
 
-    /// The effective FTQS configuration for `request`.
-    fn ftqs_config(&self, budget: usize, request: &SynthesisRequest) -> FtqsConfig {
-        FtqsConfig {
-            max_schedules: budget,
-            policy: request.expansion,
-            ftss: self.ftss.clone(),
-        }
-    }
-
     /// Stable content digest of every engine knob that can influence a
     /// synthesized artifact. Combined with
     /// [`SynthesisRequest::knob_digest`] and
@@ -158,15 +148,13 @@ impl Engine {
 /// One synthesis call: the policy plus per-request settings and limits.
 ///
 /// Build with [`SynthesisRequest::ftss`] / [`SynthesisRequest::ftqs`] /
-/// [`SynthesisRequest::ftsf`] and chain `with_*` settings: the FTQS
-/// expansion policy ([`SynthesisRequest::with_expansion_policy`]), a
-/// validation override ([`SynthesisRequest::with_validation`]), a
-/// process-count limit ([`SynthesisRequest::with_max_processes`]) and a
-/// worker cap ([`SynthesisRequest::with_max_parallelism`]).
+/// [`SynthesisRequest::ftsf`] and chain `with_*` settings: a validation
+/// override ([`SynthesisRequest::with_validation`]), a process-count limit
+/// ([`SynthesisRequest::with_max_processes`]) and a worker cap
+/// ([`SynthesisRequest::with_max_parallelism`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisRequest {
     policy: SynthesisPolicy,
-    expansion: ExpansionPolicy,
     validate: Option<bool>,
     max_processes: Option<usize>,
     max_parallelism: Option<usize>,
@@ -178,7 +166,6 @@ impl SynthesisRequest {
     pub fn new(policy: SynthesisPolicy) -> Self {
         SynthesisRequest {
             policy,
-            expansion: ExpansionPolicy::MostSimilar,
             validate: None,
             max_processes: None,
             max_parallelism: None,
@@ -207,14 +194,6 @@ impl SynthesisRequest {
     #[must_use]
     pub fn policy(&self) -> SynthesisPolicy {
         self.policy
-    }
-
-    /// Sets the FTQS expansion policy ([`ExpansionPolicy::MostSimilar`]
-    /// by default).
-    #[must_use]
-    pub fn with_expansion_policy(mut self, policy: ExpansionPolicy) -> Self {
-        self.expansion = policy;
-        self
     }
 
     /// Overrides the engine's validation posture for this request.
@@ -260,11 +239,11 @@ impl SynthesisRequest {
     }
 
     /// Stable content digest of every request knob that can influence the
-    /// synthesized artifact: the policy (including the FTQS budget), the
-    /// expansion policy and the validation override. `max_processes` and
-    /// `max_parallelism` are deliberately excluded — the former only gates
-    /// acceptance and the latter is bit-identical at any setting — so
-    /// requests differing only in those limits share a cache key.
+    /// synthesized artifact: the policy (including the FTQS budget) and the
+    /// validation override. `max_processes` and `max_parallelism` are
+    /// deliberately excluded — the former only gates acceptance and the
+    /// latter is bit-identical at any setting — so requests differing only
+    /// in those limits share a cache key.
     #[must_use]
     pub fn knob_digest(&self) -> ContentDigest {
         let mut h = Hasher::new();
@@ -276,11 +255,6 @@ impl SynthesisRequest {
             }
             SynthesisPolicy::Ftsf => h.write_u8(2),
         }
-        h.write_u8(match self.expansion {
-            ExpansionPolicy::MostSimilar => 0,
-            ExpansionPolicy::Fifo => 1,
-            ExpansionPolicy::BestImprovement => 2,
-        });
         h.write_u8(match self.validate {
             None => 0,
             Some(false) => 1,
@@ -418,7 +392,10 @@ impl Session {
                     Ok::<_, Error>((QuasiStaticTree::single(schedule), ExpansionStats::default()))
                 }
                 SynthesisPolicy::Ftqs { budget } => {
-                    let config = engine.ftqs_config(budget, request);
+                    let config = FtqsConfig {
+                        max_schedules: budget,
+                        ftss: engine.ftss.clone(),
+                    };
                     match prepared {
                         Some(p) => Ok(ftqs_prepared(&p.model, &p.compiled, &config, scratch)?),
                         None => Ok(ftqs_with(app, &config, scratch)?),
@@ -743,7 +720,6 @@ mod tests {
         for request in [
             SynthesisRequest::ftss(),
             SynthesisRequest::ftqs(6),
-            SynthesisRequest::ftqs(6).with_expansion_policy(ExpansionPolicy::Fifo),
             SynthesisRequest::ftsf(),
         ] {
             let cold = session.synthesize(&app, &request).unwrap();
@@ -766,17 +742,11 @@ mod tests {
 
     #[test]
     fn knob_digests_separate_what_matters_and_ignore_what_does_not() {
-        // Policy, budget, expansion policy and validation override steer
-        // synthesis: distinct digests.
+        // Policy, budget and validation override steer synthesis: distinct
+        // digests.
         let base = SynthesisRequest::ftqs(6);
         assert_ne!(base.knob_digest(), SynthesisRequest::ftss().knob_digest());
         assert_ne!(base.knob_digest(), SynthesisRequest::ftqs(7).knob_digest());
-        assert_ne!(
-            base.knob_digest(),
-            SynthesisRequest::ftqs(6)
-                .with_expansion_policy(ExpansionPolicy::Fifo)
-                .knob_digest()
-        );
         assert_ne!(
             base.knob_digest(),
             SynthesisRequest::ftqs(6)

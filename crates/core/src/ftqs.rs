@@ -11,10 +11,10 @@
 //!   (`DifferentSchedules(Φ) < M` in the paper). Children whose ordering
 //!   (and allowances) equal the parent's own suffix can never improve
 //!   anything and are discarded without counting. The next parent to expand
-//!   is chosen by an [`ExpansionPolicy`]; the default mirrors the paper's
-//!   `FindMostSimilarSubschedule`: expand, within the shallowest unexpanded
-//!   layer, the sub-schedule most similar to its parent, pushing
-//!   exploration toward genuinely different schedules deeper in the tree.
+//!   follows the paper's `FindMostSimilarSubschedule`: within the
+//!   shallowest unexpanded layer, the sub-schedule most similar to its
+//!   parent (ties to the earliest created), pushing exploration toward
+//!   genuinely different schedules deeper in the tree.
 //! * **Interval partitioning.** For every arc, completion times of the
 //!   pivot are swept ("assuming they are integers", §5.1) and the expected
 //!   remaining utility of parent vs child is compared; the arc keeps the
@@ -86,8 +86,7 @@
 //! equivalence tests assert.
 
 use crate::fschedule::{
-    expected_suffix_utility_est, CompiledUtilities, FSchedule, ScheduleAnalysis, ScheduleContext,
-    SweepScratch,
+    CompiledUtilities, FSchedule, ScheduleAnalysis, ScheduleContext, SweepScratch,
 };
 use crate::ftss::{
     ftss_from_context, ftss_resume, AppModel, FtssConfig, PrefixCheckpoint, PrefixCursor,
@@ -98,22 +97,6 @@ use crate::tree::{QuasiStaticTree, ScheduleArena, ScheduleId, SwitchArc, TreeNod
 use crate::{Application, SchedulingError, Time};
 use ftqs_graph::NodeId;
 use serde::{Deserialize, Serialize};
-
-/// Which generated sub-schedule to expand next (the paper's
-/// `FindMostSimilarSubschedule`, made pluggable for the ablation benches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ExpansionPolicy {
-    /// Expand the node most similar to its parent (minimum suffix
-    /// reordering distance), shallowest layer first — our reading of the
-    /// paper's heuristic.
-    MostSimilar,
-    /// Expand nodes in creation order (breadth-first).
-    Fifo,
-    /// Expand the node whose schedule promises the largest expected-utility
-    /// improvement over its parent at its best-case switch time.
-    BestImprovement,
-}
 
 /// Checkpoint/restore accounting of one FTQS synthesis, reported in
 /// [`crate::TreeStats`].
@@ -149,15 +132,13 @@ pub struct ExpansionStats {
 pub const INTERVAL_SAMPLES: u32 = 256;
 
 /// Configuration of the FTQS tree synthesis: the schedule budget `M` and
-/// the expansion policy. Interval partitioning always sweeps
+/// the FTSS configuration. Interval partitioning always sweeps
 /// [`INTERVAL_SAMPLES`] completion times per arc and compares suffixes
 /// with [`crate::fschedule::expected_suffix_utility_est`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FtqsConfig {
     /// Maximum number of different schedules kept in the tree (`M`).
     pub max_schedules: usize,
-    /// Parent-selection policy for tree expansion.
-    pub policy: ExpansionPolicy,
     /// FTSS configuration used for the root and every sub-schedule.
     pub ftss: FtssConfig,
 }
@@ -166,7 +147,6 @@ impl Default for FtqsConfig {
     fn default() -> Self {
         FtqsConfig {
             max_schedules: 16,
-            policy: ExpansionPolicy::MostSimilar,
             ftss: FtssConfig::default(),
         }
     }
@@ -346,41 +326,16 @@ impl<'a, 's> TreeBuilder<'a, 's> {
         }
     }
 
+    /// `FindMostSimilarSubschedule`: the unexpanded node of the shallowest
+    /// layer with the smallest reordering distance to its parent, ties to
+    /// the earliest created.
     fn pick_expansion_candidate(&self) -> Option<TreeNodeId> {
-        let candidates = self.nodes.iter().enumerate().filter(|(_, n)| !n.expanded);
-        match self.config.policy {
-            ExpansionPolicy::Fifo => candidates.map(|(i, _)| i).next(),
-            ExpansionPolicy::MostSimilar => candidates
-                .min_by_key(|(i, n)| (n.depth, n.parent_distance, *i))
-                .map(|(i, _)| i),
-            ExpansionPolicy::BestImprovement => candidates
-                .map(|(i, n)| {
-                    let gain = self.improvement_over_parent(n);
-                    (i, n.depth, gain)
-                })
-                .min_by(|a, b| {
-                    a.1.cmp(&b.1)
-                        .then(b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
-                        .then(a.0.cmp(&b.0))
-                })
-                .map(|(i, _, _)| i),
-        }
-    }
-
-    /// Expected-utility gain of `n` over its parent at `n`'s start time.
-    fn improvement_over_parent(&self, n: &BuildNode) -> f64 {
-        let Some(parent) = n.parent else { return 0.0 };
-        let Some(pivot_pos) = n.pivot_pos else {
-            return 0.0;
-        };
-        let p = &self.nodes[parent];
-        let n_sched = self.sched(n);
-        let p_sched = self.sched(p);
-        let tc = n_sched.context().start;
-        let u_child = expected_suffix_utility_est(self.app, n_sched, &n.analysis, 0, tc);
-        let u_parent =
-            expected_suffix_utility_est(self.app, p_sched, &p.analysis, pivot_pos + 1, tc);
-        u_child - u_parent
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| !n.expanded)
+            .min_by_key(|(i, n)| (n.depth, n.parent_distance, *i))
+            .map(|(i, _)| i)
     }
 
     /// `CreateSubschedules`: one candidate child per pivot position of
@@ -937,26 +892,14 @@ mod tests {
     }
 
     #[test]
-    fn all_policies_produce_valid_trees() {
+    fn arcs_point_at_kept_children_with_ordered_intervals() {
         let (app, _) = fig1_app();
-        for policy in [
-            ExpansionPolicy::MostSimilar,
-            ExpansionPolicy::Fifo,
-            ExpansionPolicy::BestImprovement,
-        ] {
-            let cfg = FtqsConfig {
-                max_schedules: 5,
-                policy,
-                ..FtqsConfig::default()
-            };
-            let tree = ftqs(&app, &cfg).unwrap();
-            assert!(!tree.is_empty());
-            // Every arc points at a valid child and intervals are ordered.
-            for (_, node) in tree.iter() {
-                for arc in &node.arcs {
-                    assert!(arc.lo <= arc.hi);
-                    assert!(arc.child < tree.len());
-                }
+        let tree = ftqs(&app, &FtqsConfig::with_budget(5)).unwrap();
+        assert!(!tree.is_empty());
+        for (_, node) in tree.iter() {
+            for arc in &node.arcs {
+                assert!(arc.lo <= arc.hi);
+                assert!(arc.child < tree.len());
             }
         }
     }

@@ -119,7 +119,7 @@ pub use engine::{
 };
 pub use error::{Error, SchedulingError};
 pub use fschedule::{FSchedule, ScheduleAnalysis, ScheduleContext, ScheduleEntry};
-pub use ftqs::{ExpansionPolicy, ExpansionStats};
+pub use ftqs::ExpansionStats;
 pub use ftss::FtssConfig;
 pub use process::{Criticality, ExecutionTimes, ExecutionTimesError, Process};
 pub use stale::StaleCoefficients;

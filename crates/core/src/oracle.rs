@@ -24,7 +24,7 @@ use crate::fschedule::{
     expected_suffix_utility_est, FSchedule, ScheduleAnalysis, ScheduleContext, ScheduleEntry,
     StaleAlpha,
 };
-use crate::ftqs::{ExpansionPolicy, FtqsConfig, INTERVAL_SAMPLES};
+use crate::ftqs::{FtqsConfig, INTERVAL_SAMPLES};
 use crate::ftss::{FtssConfig, SUCCESSOR_WEIGHT};
 use crate::priority::{mu_priority, PriorityContext};
 use crate::tree::{QuasiStaticTree, SwitchArc, TreeNode, TreeNodeId};
@@ -602,37 +602,12 @@ impl<'a> TreeBuilder<'a> {
     }
 
     fn pick_expansion_candidate(&self) -> Option<TreeNodeId> {
-        let candidates = self.nodes.iter().enumerate().filter(|(_, n)| !n.expanded);
-        match self.config.policy {
-            ExpansionPolicy::Fifo => candidates.map(|(i, _)| i).next(),
-            ExpansionPolicy::MostSimilar => candidates
-                .min_by_key(|(i, n)| (n.depth, n.parent_distance, *i))
-                .map(|(i, _)| i),
-            ExpansionPolicy::BestImprovement => candidates
-                .map(|(i, n)| {
-                    let gain = self.improvement_over_parent(n);
-                    (i, n.depth, gain)
-                })
-                .min_by(|a, b| {
-                    a.1.cmp(&b.1)
-                        .then(b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
-                        .then(a.0.cmp(&b.0))
-                })
-                .map(|(i, _, _)| i),
-        }
-    }
-
-    fn improvement_over_parent(&self, n: &BuildNode) -> f64 {
-        let Some(parent) = n.parent else { return 0.0 };
-        let Some(pivot_pos) = n.pivot_pos else {
-            return 0.0;
-        };
-        let p = &self.nodes[parent];
-        let tc = n.schedule.context().start;
-        let u_child = expected_suffix_utility_est(self.app, &n.schedule, &n.analysis, 0, tc);
-        let u_parent =
-            expected_suffix_utility_est(self.app, &p.schedule, &p.analysis, pivot_pos + 1, tc);
-        u_child - u_parent
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| !n.expanded)
+            .min_by_key(|(i, n)| (n.depth, n.parent_distance, *i))
+            .map(|(i, _)| i)
     }
 
     fn expand(&mut self, parent: TreeNodeId) {

@@ -15,7 +15,7 @@
 //! would catch immediately.
 
 use ftqs_core::fschedule::{expected_suffix_utility_est, ScheduleAnalysis};
-use ftqs_core::ftqs::{ExpansionPolicy, FtqsConfig};
+use ftqs_core::ftqs::FtqsConfig;
 use ftqs_core::oracle::{ftqs_reference, ftss_reference};
 use ftqs_core::{
     Application, Engine, Error, ExecutionTimes, FaultModel, FtssConfig, QuasiStaticTree,
@@ -185,7 +185,7 @@ fn engine_ftqs_trees_match_reference_on_20_plus_workloads() {
     let corpus = schedulable_corpus(20);
     let mut session = Engine::new().session();
     for (seed, app) in &corpus {
-        for budget in [4usize, 12] {
+        for budget in [4usize, 6, 12] {
             let fast = session
                 .synthesize(app, &SynthesisRequest::ftqs(budget))
                 .expect("corpus is schedulable");
@@ -288,29 +288,6 @@ fn engine_trees_are_arena_backed_without_clones() {
                 report.tree.len(),
                 "seed {seed}: compaction keeps exactly one schedule per node"
             );
-        }
-    }
-}
-
-#[test]
-fn engine_ftqs_policies_match_reference() {
-    let corpus = schedulable_corpus(20);
-    let mut session = Engine::new().session();
-    for (seed, app) in corpus.iter().take(8) {
-        for policy in [
-            ExpansionPolicy::MostSimilar,
-            ExpansionPolicy::Fifo,
-            ExpansionPolicy::BestImprovement,
-        ] {
-            let request = SynthesisRequest::ftqs(6).with_expansion_policy(policy);
-            let fast = session.synthesize(app, &request).expect("schedulable");
-            let cfg = FtqsConfig {
-                max_schedules: 6,
-                policy,
-                ..FtqsConfig::default()
-            };
-            let slow = ftqs_reference(app, &cfg).expect("schedulable");
-            assert_trees_equal(&fast.tree, &slow, &format!("seed {seed} {policy:?}"));
         }
     }
 }

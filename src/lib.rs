@@ -54,7 +54,6 @@ pub use ftqs_workloads as workloads;
 
 /// The types almost every user of the library needs.
 pub mod prelude {
-    pub use ftqs_core::ftqs::ExpansionPolicy;
     pub use ftqs_core::{
         Application, Criticality, Engine, Error, ExecutionTimes, FSchedule, FaultModel, FtssConfig,
         Process, QuasiStaticTree, ScheduleContext, SchedulingError, Session, StaleCoefficients,

@@ -5,7 +5,6 @@
 //! serde round-trips.
 
 use ftqs::prelude::*;
-use ftqs_core::ftqs::ExpansionPolicy;
 
 fn fig1() -> Application {
     let ms = Time::from_ms;
@@ -56,7 +55,6 @@ fn request_overrides_compose_on_one_builder() {
     let app = fig1();
     let mut session = Engine::new().session();
     let request = SynthesisRequest::ftqs(6)
-        .with_expansion_policy(ExpansionPolicy::MostSimilar)
         .with_validation(true)
         .with_max_processes(16)
         .with_max_parallelism(2);
