@@ -64,7 +64,7 @@ impl Cell {
 }
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env(&["--smoke", "--out", "--apps", "--scenarios", "--seed"]);
     let smoke = opts.flag("--smoke");
     let out_path: String = opts.value("--out", "BENCH_robustness.json".to_string());
     let apps: usize = opts.value(

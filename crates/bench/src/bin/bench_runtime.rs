@@ -61,9 +61,8 @@ struct Cell {
 /// Times the reference path exactly as Monte Carlo ran before the flat
 /// runtime existed: per-worker `OnlineScheduler` (re-deriving the tree
 /// analyses), then per scenario a fresh boxed `ExecutionScenario` from
-/// the preserved pre-optimization sampler (`sample_reference`: `gen_range`
-/// divisions, per-process `Vec` allocations) and a traced, allocating
-/// `run`.
+/// the reference sampler (`sample`: `gen_range` divisions, per-process
+/// `Vec` allocations) and a traced, allocating `run`.
 fn treewalk_pass(
     app: &Application,
     tree: &QuasiStaticTree,
@@ -85,7 +84,7 @@ fn treewalk_pass(
                 let mut sum = 0.0f64;
                 for i in lo..hi {
                     let mut rng = StdRng::seed_from_u64(scenario_seed(seed, i as u64));
-                    let sc = sampler.sample_reference(&mut rng, fault_count);
+                    let sc = sampler.sample(&mut rng, fault_count);
                     sum += scheduler.run(&sc).utility;
                 }
                 sum
@@ -119,7 +118,7 @@ fn flat_pass(
 }
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env(&["--smoke", "--out", "--scenarios", "--reps", "--seed"]);
     let smoke = opts.flag("--smoke");
     let out_path: String = opts.value("--out", "BENCH_runtime.json".to_string());
     let scenarios: usize = opts.value("--scenarios", if smoke { 4_000 } else { 400_000 });

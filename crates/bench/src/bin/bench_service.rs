@@ -228,7 +228,14 @@ fn quiet_chaos_panics() {
 }
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env(&[
+        "--out",
+        "--smoke",
+        "--size",
+        "--budget",
+        "--distinct",
+        "--seed",
+    ]);
     let out_path: String = opts.value("--out", "BENCH_service.json".to_string());
     let smoke = opts.flag("--smoke");
     let size: usize = opts.value("--size", 25);

@@ -96,7 +96,7 @@ struct Row {
 }
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env(&["--out", "--smoke", "--reps", "--budget", "--skip-baseline"]);
     let out_path: String = opts.value("--out", "BENCH_synthesis.json".to_string());
     let smoke = opts.flag("--smoke");
     let reps: usize = opts.value("--reps", if smoke { 1 } else { 9usize });

@@ -14,7 +14,7 @@ use ftqs_sim::MonteCarlo;
 use ftqs_workloads::cruise_controller;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env(&["--scenarios", "--budget", "--seed"]);
     let scenarios: usize = opts.value("--scenarios", 5_000);
     let budget: usize = opts.value("--budget", 39);
     let seed: u64 = opts.value("--seed", 1u64);

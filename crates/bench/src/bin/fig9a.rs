@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env(&["--full", "--apps", "--scenarios", "--seed"]);
     let full = opts.flag("--full");
     let apps: usize = opts.value(
         "--apps",

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env(&["--full", "--apps", "--scenarios", "--seed"]);
     let full = opts.flag("--full");
     let apps: usize = opts.value("--apps", if full { presets::TABLE1_APPS } else { 5 });
     let scenarios: usize = opts.value("--scenarios", if full { 20_000 } else { 1_000 });
@@ -84,10 +84,10 @@ fn main() {
             &[
                 m.to_string(),
                 format!("{:.1}", kept_total as f64 / n),
-                format!("{:.0}", norm[0] / n),
-                format!("{:.0}", norm[1] / n),
-                format!("{:.0}", norm[2] / n),
-                format!("{:.0}", norm[3] / n),
+                format!("{:.1}", norm[0] / n),
+                format!("{:.1}", norm[1] / n),
+                format!("{:.1}", norm[2] / n),
+                format!("{:.1}", norm[3] / n),
                 format!("{:.2}ms", synth_time.as_secs_f64() * 1e3 / n),
                 format!("{:.1}kB", memory_total as f64 / n / 1024.0),
             ],

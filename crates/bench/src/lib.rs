@@ -179,11 +179,33 @@ pub struct Options {
 }
 
 impl Options {
-    /// Captures the process arguments.
+    /// Captures the process arguments of a binary that reads the flags
+    /// `accepted`. An argument that names any other `--flag` exits with
+    /// status 2, naming it and listing `accepted`, so a typo never runs
+    /// the defaults silently.
     #[must_use]
-    pub fn from_env() -> Self {
-        Options {
-            args: std::env::args().skip(1).collect(),
+    pub fn from_env(accepted: &[&str]) -> Self {
+        let opts = Options::from_vec(std::env::args().skip(1).collect());
+        if let Err(msg) = opts.check(accepted) {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
+        }
+        opts
+    }
+
+    /// Checks that every `--flag` argument is one of `accepted`; the
+    /// error names the first unknown flag and lists the accepted ones.
+    fn check(&self, accepted: &[&str]) -> Result<(), String> {
+        match self
+            .args
+            .iter()
+            .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
+        {
+            Some(flag) => Err(format!(
+                "unknown flag {flag}; accepted: {}",
+                accepted.join(", ")
+            )),
+            None => Ok(()),
         }
     }
 
@@ -305,5 +327,19 @@ mod tests {
         assert_eq!(o.value("--scenarios", 99usize), 99);
         assert!(o.flag("--full"));
         assert!(!o.flag("--quick"));
+    }
+
+    #[test]
+    fn options_reject_flags_the_binary_does_not_read() {
+        let accepted = ["--full", "--apps", "--scenarios", "--seed"];
+        let ok = Options::from_vec(vec!["--apps".into(), "7".into(), "--full".into()]);
+        assert_eq!(ok.check(&accepted), Ok(()));
+        let typo = Options::from_vec(vec!["--full".into(), "--scenario".into(), "5000".into()]);
+        assert_eq!(
+            typo.check(&accepted),
+            Err("unknown flag --scenario; accepted: --full, --apps, --scenarios, --seed".into())
+        );
+        let deleted = Options::from_vec(vec!["--policy".into(), "fifo".into()]);
+        assert!(deleted.check(&accepted).unwrap_err().contains("--policy"));
     }
 }

@@ -53,9 +53,8 @@
 //!   always draws from a fresh stream seeded
 //!   [`montecarlo::scenario_seed`]`(s, i)`, independent of thread count
 //!   and batch shape, so results are thread-count invariant and every
-//!   scheduler faces identical environments. Sweeps
-//!   ([`MonteCarlo::evaluate_fault_sweep`] /
-//!   [`MonteCarlo::evaluate_intensity_sweep`]) additionally hold the
+//!   scheduler faces identical environments. Intensity sweeps
+//!   ([`MonteCarlo::evaluate_intensity_sweep`]) additionally hold the
 //!   attempt-table width fixed at `max(k, max intensity) + 1` across
 //!   columns (**common random numbers**): every column consumes the same
 //!   duration draws and column deltas are pure fault effects.

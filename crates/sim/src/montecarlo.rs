@@ -21,11 +21,12 @@
 //! Outcomes are pinned bit-identical to the reference
 //! `OnlineScheduler`-based harness.
 //!
-//! Beyond the paper's harness, [`MonteCarlo::evaluate_with_model`] runs the
-//! same machinery under any [`FaultModel`] and any fault intensity —
-//! including out-of-model intensities beyond the design budget `k` — and
-//! [`Evaluation`] aggregates the resulting [`DegradationVerdict`]s into
-//! hard-miss and degradation rates alongside the utility curve.
+//! Beyond the paper's harness, [`MonteCarlo::evaluate_intensity_sweep`]
+//! runs the same machinery under any [`FaultModel`] and any fault
+//! intensity — including out-of-model intensities beyond the design budget
+//! `k` — and [`Evaluation`] aggregates the resulting
+//! [`DegradationVerdict`]s into hard-miss and degradation rates alongside
+//! the utility curve.
 
 use crate::online::DegradationVerdict;
 use crate::runtime::{BatchRunner, CycleOutcome, FlatRuntime};
@@ -132,7 +133,8 @@ impl MonteCarlo {
     /// same config face identical environments.
     ///
     /// `fault_count` may exceed the application's fault budget; see
-    /// [`MonteCarlo::evaluate_with_model`] for the out-of-model semantics.
+    /// [`MonteCarlo::evaluate_intensity_sweep`] for the out-of-model
+    /// semantics.
     #[must_use]
     pub fn evaluate(
         &self,
@@ -140,72 +142,30 @@ impl MonteCarlo {
         tree: &QuasiStaticTree,
         fault_count: usize,
     ) -> Evaluation {
-        self.evaluate_with_model(app, tree, FaultModel::Independent, fault_count)
-    }
-
-    /// Evaluates `tree` under an explicit [`FaultModel`], planning exactly
-    /// `fault_count` faults per scenario.
-    ///
-    /// With [`FaultModel::Independent`] and `fault_count <= k` this is
-    /// bit-identical to [`MonteCarlo::evaluate`] (same scenarios, same
-    /// statistics). Intensities beyond `k` and the non-default models
-    /// produce out-of-model scenarios: runs never panic, and the
-    /// per-scenario `DegradationVerdict`s are pooled into
-    /// [`Evaluation::deadline_misses`] and [`Evaluation::degraded`].
-    #[must_use]
-    pub fn evaluate_with_model(
-        &self,
-        app: &Application,
-        tree: &QuasiStaticTree,
-        model: FaultModel,
-        fault_count: usize,
-    ) -> Evaluation {
         let runtime = FlatRuntime::new(app, tree);
-        self.evaluate_runtime(app, &runtime, model, fault_count)
+        BatchRunner::new(app, &runtime, FaultModel::Independent).evaluate(self, fault_count)
     }
 
-    /// [`MonteCarlo::evaluate_with_model`] against a prebuilt
-    /// [`FlatRuntime`] — callers holding the flat image (sweeps, repeated
-    /// evaluations of one tree) skip the per-call image build entirely;
-    /// the image is shared read-only across worker threads.
-    #[must_use]
-    pub fn evaluate_runtime(
-        &self,
-        app: &Application,
-        runtime: &FlatRuntime,
-        model: FaultModel,
-        fault_count: usize,
-    ) -> Evaluation {
-        BatchRunner::new(app, runtime, model).evaluate(self, fault_count)
-    }
-
-    /// Evaluates across several fault counts, returning one [`Evaluation`]
-    /// per entry of `fault_counts` (the paper's 0/1/2/3-fault columns).
+    /// Sweeps fault intensity under one [`FaultModel`] — one
+    /// [`Evaluation`] per entry of `intensities` (the paper's
+    /// 0/1/2/3-fault columns, or `0..=2k` in the robustness harness).
+    ///
+    /// Intensities beyond `k` and the non-default models produce
+    /// out-of-model scenarios: runs never panic, and the per-scenario
+    /// `DegradationVerdict`s are pooled into
+    /// [`Evaluation::deadline_misses`] and [`Evaluation::degraded`].
     ///
     /// The flat runtime image is built once and shared across all columns
     /// and worker threads, and every column executes under **common
     /// random numbers**: attempt tables are sized to the sweep's maximum
-    /// (`max(k, max fault count) + 1`), so scenario `i` consumes the same
+    /// (`max(k, max intensity) + 1`), so scenario `i` consumes the same
     /// duration draws in every column and column deltas are pure fault
-    /// effects. For an in-model sweep (every count `<= k`, the paper's
-    /// fig9b case) this is bit-identical to per-column
-    /// [`MonteCarlo::evaluate`] — all columns already use `k + 1`
-    /// attempts.
-    #[must_use]
-    pub fn evaluate_fault_sweep(
-        &self,
-        app: &Application,
-        tree: &QuasiStaticTree,
-        fault_counts: &[usize],
-    ) -> Vec<Evaluation> {
-        self.evaluate_intensity_sweep(app, tree, FaultModel::Independent, fault_counts)
-    }
-
-    /// Sweeps fault intensity under one [`FaultModel`] — one
-    /// [`Evaluation`] per entry of `intensities`, which may extend past
-    /// the design budget (the robustness harness sweeps `0..=2k`). Shares
-    /// the flat image and scenario draws across columns exactly like
-    /// [`MonteCarlo::evaluate_fault_sweep`].
+    /// effects. A one-column sweep `&[f]` therefore uses the width
+    /// `max(k, f) + 1` of a single evaluation, and under
+    /// [`FaultModel::Independent`] it is bit-identical to
+    /// [`MonteCarlo::evaluate`]; so is every column of an in-model sweep
+    /// (every count `<= k`, the paper's fig9b case), since all of them
+    /// already use `k + 1` attempts.
     #[must_use]
     pub fn evaluate_intensity_sweep(
         &self,
@@ -350,7 +310,7 @@ mod tests {
             seed: 3,
             threads: 2,
         };
-        let evals = mc.evaluate_fault_sweep(&app, &tree, &[0, 1]);
+        let evals = mc.evaluate_intensity_sweep(&app, &tree, FaultModel::Independent, &[0, 1]);
         assert!(
             evals[0].utility.mean() >= evals[1].utility.mean(),
             "faults must not increase average utility"
@@ -374,9 +334,9 @@ mod tests {
         let f1 = mc.evaluate(&app, &tree, 1);
         assert_eq!(f0.utility.mean().to_bits(), 0x404b933333333334);
         assert_eq!(f1.utility.mean().to_bits(), 0x403c7fffffffffff);
-        // And the explicit-model path is the same machinery.
-        let via_model = mc.evaluate_with_model(&app, &tree, FaultModel::Independent, 1);
-        assert_eq!(via_model.utility.mean().to_bits(), 0x403c7fffffffffff);
+        // And a one-column sweep is the same machinery.
+        let via_sweep = mc.evaluate_intensity_sweep(&app, &tree, FaultModel::Independent, &[1]);
+        assert_eq!(via_sweep[0].utility.mean().to_bits(), 0x403c7fffffffffff);
     }
 
     #[test]
@@ -391,7 +351,7 @@ mod tests {
             threads: 2,
         };
         for f in [2usize, 3] {
-            let e = mc.evaluate_with_model(&app, &tree, FaultModel::Independent, f);
+            let e = &mc.evaluate_intensity_sweep(&app, &tree, FaultModel::Independent, &[f])[0];
             assert_eq!(e.utility.count(), 300);
             let in_model = 300 - e.deadline_misses - e.degraded;
             assert!(
@@ -417,7 +377,7 @@ mod tests {
             overrun_prob: 0.5,
             overrun_factor: 1.5,
         };
-        let e = mc.evaluate_with_model(&app, &tree, model, 0);
+        let e = &mc.evaluate_intensity_sweep(&app, &tree, model, &[0])[0];
         assert!(e.overruns.mean() > 0.0, "stressor produced no overruns");
         assert!(
             e.deadline_misses + e.degraded > 0,

@@ -85,14 +85,6 @@ pub enum DegradationVerdict {
     },
 }
 
-impl DegradationVerdict {
-    /// Whether this cycle kept every hard deadline.
-    #[must_use]
-    pub fn hard_deadlines_held(&self) -> bool {
-        !matches!(self, DegradationVerdict::HardMiss { .. })
-    }
-}
-
 /// Result of simulating one operation cycle.
 #[derive(Debug, Clone)]
 pub struct SimOutcome {
@@ -592,7 +584,6 @@ mod tests {
         let s = synth_ftss(&app);
         let out = OnlineScheduler::run_static(&app, &s, &ExecutionScenario::average_case(&app));
         assert_eq!(out.verdict, DegradationVerdict::InModel);
-        assert!(out.verdict.hard_deadlines_held());
         assert_eq!(out.wcet_overruns, 0);
     }
 
@@ -624,7 +615,6 @@ mod tests {
         let sc = scenario_with(&app, &[(p1, [200, 200])], &[]);
         let out = OnlineScheduler::run_static(&app, &s, &sc);
         assert_eq!(out.deadline_miss, Some(p1));
-        assert!(!out.verdict.hard_deadlines_held());
         assert_eq!(
             out.verdict,
             DegradationVerdict::HardMiss {

@@ -56,7 +56,7 @@ use crate::montecarlo::{scenario_seed, Evaluation, MonteCarlo};
 use crate::online::{DegradationVerdict, SimOutcome};
 use crate::scenario::{ExecutionScenario, FaultModel, FlatScenario, ScenarioSampler, ScenarioView};
 use crate::trace::{DropReason, EventSink, NoTrace, Trace, TraceEvent};
-use ftqs_core::{Application, CompiledUtility, QuasiStaticTree, ScheduleAnalysis, Time};
+use ftqs_core::{Application, CompiledUtility, QuasiStaticTree, Time};
 use ftqs_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -134,22 +134,6 @@ impl FlatRuntime {
     #[must_use]
     pub fn new(app: &Application, tree: &QuasiStaticTree) -> Self {
         let analyses = tree.analyses(app);
-        FlatRuntime::with_analyses(app, tree, &analyses)
-    }
-
-    /// Builds the flat image from precomputed analyses (one per tree
-    /// node, as returned by `QuasiStaticTree::analyses`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `analyses` does not match the tree's nodes.
-    #[must_use]
-    pub fn with_analyses(
-        app: &Application,
-        tree: &QuasiStaticTree,
-        analyses: &[ScheduleAnalysis],
-    ) -> Self {
-        assert_eq!(analyses.len(), tree.len(), "one analysis per tree node");
         let n = app.len();
         let k = app.faults().k;
 
@@ -578,9 +562,9 @@ impl<'a> BatchRunner<'a> {
     }
 
     /// Evaluates `config.scenarios` scenarios, each planning exactly
-    /// `fault_count` faults — the batched equivalent of
-    /// [`MonteCarlo::evaluate_with_model`], with attempt tables sized to
-    /// `max(k, fault_count) + 1` exactly as the reference sampler does.
+    /// `fault_count` faults — the batch behind [`MonteCarlo::evaluate`],
+    /// with attempt tables sized to `max(k, fault_count) + 1` exactly as
+    /// the reference sampler does.
     #[must_use]
     pub fn evaluate(&self, config: &MonteCarlo, fault_count: usize) -> Evaluation {
         let attempts = self.runtime.fault_budget().max(fault_count) + 1;

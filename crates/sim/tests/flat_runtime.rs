@@ -172,7 +172,7 @@ fn in_model_sweep_is_bit_identical_to_per_column_evaluation() {
         threads: 2,
     };
     let counts: Vec<usize> = (0..=k).collect();
-    let swept = mc.evaluate_fault_sweep(&app, &tree, &counts);
+    let swept = mc.evaluate_intensity_sweep(&app, &tree, FaultModel::Independent, &counts);
     for (&f, col) in counts.iter().zip(&swept) {
         let solo = mc.evaluate(&app, &tree, f);
         assert_eq!(
@@ -204,8 +204,8 @@ fn sweep_columns_share_duration_draws_across_intensities() {
         for p in 0..app.len() {
             for a in 0..attempts {
                 assert_eq!(
-                    base.attempt_duration(p, a),
-                    other.attempt_duration(p, a),
+                    base.attempt(p, a).0,
+                    other.attempt(p, a).0,
                     "duration draw diverged at p={p} a={a} f={f}"
                 );
             }
